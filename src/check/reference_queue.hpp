@@ -42,12 +42,11 @@ class ReferenceEventQueue {
 /// Drive EventQueue and ReferenceEventQueue in lockstep over a seeded random
 /// op script (schedules, cancels — including of already-fired handles — and
 /// pops whose handlers re-schedule at the current timestamp and cancel other
-/// events mid-pop). Far-future schedules land in EventQueue's timing-wheel
-/// tier, so the script also covers cancel-while-in-wheel, wheel-to-heap
-/// promotion racing a heap entry at the same timestamp, and overflow
-/// re-bucketing across ring revolutions. Appends a Violation per divergence:
-/// pop-order mismatch, fired-set mismatch, size or emptiness disagreement.
-/// Returns the number of events both queues fired.
+/// events mid-pop). Far-future schedules, their cancels, and later near
+/// schedules that land on a far event's exact timestamp cover the
+/// (time, seq) tie order across distant inserts. Appends a Violation per
+/// divergence: pop-order mismatch, fired-set mismatch, size or emptiness
+/// disagreement. Returns the number of events both queues fired.
 int fuzz_event_queue(std::uint64_t seed, int ops,
                      std::vector<Violation>& violations);
 

@@ -5,7 +5,7 @@
 namespace speedbal {
 
 void EventQueue::run_until(SimTime t) {
-  while (prepare_top() && heap_[0].time <= t) run_next();
+  while (!heap_.empty() && heap_[0].time <= t) run_next();
   if (now_ < t) now_ = t;
 }
 
@@ -21,71 +21,17 @@ EventHandle EventQueue::reschedule(EventHandle h, SimTime t) {
     return EventHandle{};  // Dead handle; the caller must schedule fresh.
   const std::uint64_t seq = next_seq_++;
   slots_[h.slot].seq = seq;
-  const HeapEntry e{t, seq, h.slot};
+  // Overwrite the key in place and restore the heap property: no slot
+  // recycle, no callable move.
   const std::uint32_t pos = slot_pos_[h.slot];
-  if (pos == kInWheel) {
-    // The old ring/overflow entry just went stale (seq bumped); route the
-    // replacement wherever it now belongs.
-    --wheel_count_;
-    insert_entry(e);
-  } else if (t - now_ >= kFarHorizon && t >= watermark_) {
-    heap_erase(pos);
-    wheel_insert(e);
-  } else {
-    // Overwrite the key in place and restore the heap property — no slot
-    // recycle, no callable move.
-    const HeapEntry old = heap_[pos];
-    heap_[pos] = e;
-    if (before(e, old))
-      sift_up(pos);
-    else
-      sift_down(pos);
-  }
-  return EventHandle{t, seq, h.slot};
-}
-
-void EventQueue::wheel_insert(const HeapEntry& e) {
-  const auto pb = static_cast<std::uint64_t>(watermark_) >> kBucketBits;
-  const auto eb = static_cast<std::uint64_t>(e.time) >> kBucketBits;
-  if (eb - pb < kNumBuckets)
-    wheel_[eb & kBucketMask].push_back(e);
+  const HeapEntry e{t, seq, h.slot};
+  const HeapEntry old = heap_[pos];
+  heap_[pos] = e;
+  if (before(e, old))
+    sift_up(pos);
   else
-    overflow_.push_back(e);
-  slot_pos_[e.slot] = kInWheel;
-  ++wheel_count_;
-}
-
-void EventQueue::promote_bucket() {
-  const auto pb = static_cast<std::uint64_t>(watermark_) >> kBucketBits;
-  if ((pb & kBucketMask) == 0 && !overflow_.empty()) {
-    // Ring revolution boundary: pull overflow entries that now fall within
-    // the ring's horizon into their buckets (dropping stale ones).
-    std::size_t keep = 0;
-    for (const HeapEntry& e : overflow_) {
-      if (e.slot >= slots_.size() || slots_[e.slot].seq != e.seq) continue;
-      const auto eb = static_cast<std::uint64_t>(e.time) >> kBucketBits;
-      if (eb - pb < kNumBuckets)
-        wheel_[eb & kBucketMask].push_back(e);
-      else
-        overflow_[keep++] = e;
-    }
-    overflow_.resize(keep);
-  }
-  auto& bucket = wheel_[pb & kBucketMask];
-  for (const HeapEntry& e : bucket) {
-    // Live entries go to the heap, which restores (time, seq) order among
-    // equal timestamps; stale entries (cancelled, or rescheduled away) are
-    // recognized by their seq and dropped. Entries from a later ring
-    // revolution that alias into this bucket are promoted early — the heap
-    // holds any future time correctly, it just carries them sooner.
-    if (e.slot < slots_.size() && slots_[e.slot].seq == e.seq &&
-        slot_pos_[e.slot] == kInWheel) {
-      heap_push(e);
-      --wheel_count_;
-    }
-  }
-  bucket.clear();
-  watermark_ += kBucketWidth;
+    sift_down(pos);
+  return EventHandle{t, seq, h.slot};
 }
 
 void EventQueue::sift_up(std::size_t i) {

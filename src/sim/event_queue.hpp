@@ -133,25 +133,10 @@ struct EventHandle {
 /// equal times fire in insertion order and simulations stay bit-for-bit
 /// reproducible for a given seed.
 ///
-/// Two tiers. Near-future events (the dispatch/stop/preempt churn that is
-/// ~all of a simulation) go straight into an indexed 4-ary min-heap whose
-/// callables live in a freelist-recycled slot table — steady-state
-/// scheduling allocates nothing. Far-future events (perturb timelines,
-/// diurnal arrival schedules, long sleeps) land in a timing wheel: a ring
-/// of per-bucket lists plus an overflow list beyond the ring's horizon.
-/// A bucket-aligned watermark separates the tiers — every wheel entry's
-/// time is >= watermark_ — and the pop path promotes whole buckets into
-/// the heap (advancing the watermark) before it ever pops a heap entry at
-/// or past the watermark. Promotion therefore lands every wheel entry in
-/// the heap before any equal-or-later event fires, and the heap's
-/// (time, seq) order restores the global total order among equal
-/// timestamps. Far events thus cost O(1) to schedule and skip the heap
-/// entirely until their bucket comes due, instead of sifting through
-/// every near-term pop in between.
-///
-/// Cancellation in the wheel is lazy: the slot is released immediately and
-/// the stale ring entry is dropped at promotion by its seq mismatch (seqs
-/// are never reused, so a recycled slot cannot false-match).
+/// An indexed 4-ary min-heap whose callables live in a freelist-recycled
+/// slot table, so steady-state scheduling allocates nothing. Each slot
+/// records its entry's heap position, which makes cancel and reschedule
+/// O(log n) without a lookup.
 class EventQueue {
  public:
   /// Schedule `fn` at absolute time `t` (must be >= now()).
@@ -162,7 +147,7 @@ class EventQueue {
     Slot& s = slots_[slot];
     s.fn = std::move(fn);
     s.seq = seq;
-    insert_entry({t, seq, slot});
+    heap_push({t, seq, slot});
     return EventHandle{t, seq, slot};
   }
 
@@ -171,10 +156,7 @@ class EventQueue {
     if (!h.valid() || h.slot >= slots_.size()) return;
     Slot& s = slots_[h.slot];
     if (s.seq != h.seq) return;  // Already fired, cancelled, or recycled.
-    if (slot_pos_[h.slot] == kInWheel)
-      --wheel_count_;  // Ring/overflow entry goes stale; dropped at promotion.
-    else
-      heap_erase(slot_pos_[h.slot]);
+    heap_erase(slot_pos_[h.slot]);
     s.fn.reset();
     s.seq = 0;
     free_slots_.push_back(h.slot);
@@ -182,15 +164,15 @@ class EventQueue {
 
   /// Move a live event to a new time, reusing its slot and callable — the
   /// cheap form of cancel + schedule for the per-dispatch stop-event churn
-  /// (no callable move, no slot recycle, and an in-place heap reposition
-  /// when both times are near). `h` must be live (not fired, not
-  /// cancelled); semantics are identical to cancel(h) followed by
-  /// schedule(t, same-fn), including the fresh position in the seq order.
+  /// (no callable move, no slot recycle, an in-place heap reposition).
+  /// `h` must be live (not fired, not cancelled); semantics are identical
+  /// to cancel(h) followed by schedule(t, same-fn), including the fresh
+  /// position in the seq order.
   EventHandle reschedule(EventHandle h, SimTime t);
 
   /// Pop and execute the earliest event; returns false when empty.
   bool run_next() {
-    if (!prepare_top()) return false;
+    if (heap_.empty()) return false;
     const HeapEntry top = heap_[0];
     now_ = top.time;
     Slot& s = slots_[top.slot];
@@ -206,16 +188,15 @@ class EventQueue {
     return true;
   }
 
-  /// True when no events are pending (either tier).
-  bool empty() const { return heap_.empty() && wheel_count_ == 0; }
-  std::size_t size() const { return heap_.size() + wheel_count_; }
+  /// True when no events are pending.
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Current simulation time (time of the last event popped).
   SimTime now() const { return now_; }
 
-  /// Time of the earliest pending event, or kNever if empty. May promote
-  /// wheel buckets into the heap to find it (hence non-const).
-  SimTime next_time() { return prepare_top() ? heap_[0].time : kNever; }
+  /// Time of the earliest pending event, or kNever if empty.
+  SimTime next_time() const { return heap_.empty() ? kNever : heap_[0].time; }
 
   /// Run events until simulation time would exceed `t`; leaves now() == t.
   void run_until(SimTime t);
@@ -226,24 +207,8 @@ class EventQueue {
   /// Total events executed so far (monotonic; for throughput accounting).
   std::uint64_t executed() const { return executed_; }
 
-  /// Events currently parked in the wheel/overflow tier (test hook).
-  std::size_t wheel_size() const { return wheel_count_; }
-
  private:
   static constexpr std::size_t kArity = 4;
-
-  /// Wheel bucket width: 2^12 us ~= 4 ms. One ring revolution covers
-  /// kNumBuckets * 4 ms ~= 1 s; anything further sits in the overflow list
-  /// and is re-bucketed once per revolution.
-  static constexpr int kBucketBits = 12;
-  static constexpr SimTime kBucketWidth = SimTime{1} << kBucketBits;
-  static constexpr std::size_t kNumBuckets = 256;  // power of two
-  static constexpr std::size_t kBucketMask = kNumBuckets - 1;
-  /// Events at least this far ahead of now() are wheel candidates; nearer
-  /// ones always take the heap (the common case, kept zero-overhead).
-  static constexpr SimTime kFarHorizon = 16 * kBucketWidth;  // ~65 ms
-  /// slot_pos_ sentinel: the slot's entry lives in the wheel, not the heap.
-  static constexpr std::uint32_t kInWheel = 0xFFFFFFFFu;
 
   struct HeapEntry {
     SimTime time;
@@ -271,40 +236,11 @@ class EventQueue {
     return slot;
   }
 
-  /// Route a new entry to the heap or the wheel tier.
-  void insert_entry(const HeapEntry& e) {
-    if (e.time - now_ >= kFarHorizon && e.time >= watermark_) {
-      wheel_insert(e);
-      return;
-    }
-    heap_push(e);
-  }
-
   void heap_push(const HeapEntry& e) {
     heap_.push_back(e);
     slot_pos_[e.slot] = static_cast<std::uint32_t>(heap_.size() - 1);
     sift_up(heap_.size() - 1);
   }
-
-  /// Park `e` in the ring bucket covering its time, or the overflow list
-  /// when it is beyond the ring's horizon. Precondition: e.time >= watermark_.
-  void wheel_insert(const HeapEntry& e);
-
-  /// Ensure heap_[0] is the globally earliest pending event, promoting
-  /// wheel buckets as needed; returns false when both tiers are empty.
-  bool prepare_top() {
-    if (wheel_count_ == 0) return !heap_.empty();
-    while (heap_.empty() || heap_[0].time >= watermark_) {
-      promote_bucket();
-      if (wheel_count_ == 0) break;
-    }
-    return !heap_.empty();
-  }
-
-  /// Promote every live entry of the next-due bucket into the heap and
-  /// advance the watermark one bucket width; re-buckets the overflow list
-  /// when the ring completes a revolution.
-  void promote_bucket();
 
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
@@ -322,22 +258,11 @@ class EventQueue {
 
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
-  /// Heap position of each slot's entry (kInWheel for wheel-tier entries),
-  /// parallel to slots_; kept out of Slot so sifting touches a dense 4-byte
+  /// Heap position of each slot's entry, parallel to slots_; kept out of Slot so sifting touches a dense 4-byte
   /// array instead of 64-byte slots.
   std::vector<std::uint32_t> slot_pos_;
   std::vector<std::uint32_t> free_slots_;
 
-  /// Ring of buckets indexed by (absolute bucket number & kBucketMask);
-  /// bucket vectors are recycled, so steady-state far scheduling allocates
-  /// nothing either.
-  std::vector<HeapEntry> wheel_[kNumBuckets];
-  std::vector<HeapEntry> overflow_;
-  /// Bucket-aligned promotion frontier: every wheel/overflow entry has
-  /// time >= watermark_; nothing at/past it may pop before promotion.
-  SimTime watermark_ = 0;
-  /// Live (uncancelled) entries across ring + overflow.
-  std::size_t wheel_count_ = 0;
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;  ///< 0 marks a free slot.

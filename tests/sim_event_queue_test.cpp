@@ -246,73 +246,68 @@ TEST(EventQueue, ScheduleAtCurrentTimeDuringPopRunsAfterPendingPeers) {
   EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'a', 'C'}));
 }
 
-// --- Timing-wheel tier ------------------------------------------------------
-// Events further out than the near horizon park in a calendar wheel and are
-// promoted into the heap as the watermark advances. Ordering, cancellation,
-// and handle semantics must be indistinguishable from a heap-only queue.
+// --- Far-future events ------------------------------------------------------
+// Perturb timelines, diurnal arrivals and long sleeps schedule far ahead of
+// the near-term churn. Ordering, cancellation, and handle semantics must not
+// depend on how far ahead an event sits.
 
 TEST(EventQueue, FarFutureEventsFireInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  // Mix near-horizon, in-ring, and beyond-one-revolution times (bucket width
-  // ~4ms, ring span ~1s).
-  q.schedule(2'000'000, [&] { order.push_back(4); });  // Overflow list.
-  q.schedule(500'000, [&] { order.push_back(3); });    // In the ring.
-  q.schedule(100'000, [&] { order.push_back(2); });    // In the ring.
-  q.schedule(10, [&] { order.push_back(1); });         // Heap.
-  EXPECT_GT(q.wheel_size(), 0u);
+  // Mix near and far times, scheduled latest first.
+  q.schedule(2'000'000, [&] { order.push_back(4); });
+  q.schedule(500'000, [&] { order.push_back(3); });
+  q.schedule(100'000, [&] { order.push_back(2); });
+  q.schedule(10, [&] { order.push_back(1); });
   EXPECT_EQ(q.size(), 4u);
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(q.now(), 2'000'000);
-  EXPECT_EQ(q.wheel_size(), 0u);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, NextTimeSeesWheelOnlyEvent) {
+TEST(EventQueue, NextTimeSeesLoneFarEvent) {
   EventQueue q;
-  q.schedule(700'000, [] {});  // Far future: parks in the wheel.
+  q.schedule(700'000, [] {});
   EXPECT_EQ(q.next_time(), 700'000);
   EXPECT_FALSE(q.empty());
 }
 
-TEST(EventQueue, CancelInWheelPreventsExecution) {
+TEST(EventQueue, CancelFarEventPreventsExecution) {
   EventQueue q;
   bool fired = false;
   const auto h = q.schedule(900'000, [&] { fired = true; });
-  EXPECT_GT(q.wheel_size(), 0u);
   q.cancel(h);
   EXPECT_EQ(q.size(), 0u);
-  q.cancel(h);  // Idempotent on a lazily-cancelled wheel entry.
+  q.cancel(h);  // Idempotent.
   q.run_all();
   EXPECT_FALSE(fired);
   EXPECT_EQ(q.now(), 0);  // Nothing ever fired.
 }
 
-TEST(EventQueue, CancelWheelHandleSparesSlotReuser) {
-  // A cancelled wheel entry is dropped lazily at promotion; its slot may be
-  // recycled before the bucket drains. The stale entry must not fire the
-  // slot's new occupant, and the new occupant must fire exactly once.
+TEST(EventQueue, CancelledHandleSparesSlotReuser) {
+  // A cancelled event's slot is recycled by the next schedule at the same
+  // time. The stale handle must not fire the slot's new occupant, and the
+  // new occupant must fire exactly once.
   EventQueue q;
   const auto h1 = q.schedule(800'000, [] {});
-  q.cancel(h1);  // Lazy: the bucket still physically holds the entry.
+  q.cancel(h1);
   int fired = 0;
   const auto h2 = q.schedule(800'000, [&] { ++fired; });
-  EXPECT_EQ(h1.slot, h2.slot);  // Slot recycled while in-bucket.
+  EXPECT_EQ(h1.slot, h2.slot);  // Slot recycled.
   q.run_all();
   EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, EqualTimestampAcrossTiersKeepsInsertionOrder) {
-  // A parks in the wheel; time advances; B is scheduled at the same instant
-  // but lands in the heap (now near-horizon). Promotion must put A ahead of
-  // B — global (time, seq) insertion order, regardless of tier.
+TEST(EventQueue, EqualTimestampFarAndNearKeepInsertionOrder) {
+  // A is scheduled far ahead; time advances; B is scheduled at the same
+  // instant from close by. A must still fire first: global (time, seq)
+  // insertion order, however far ahead each event was scheduled.
   EventQueue q;
   std::vector<char> order;
   const SimTime t = 500'000;
-  q.schedule(t, [&] { order.push_back('A'); });  // Far: wheel.
-  EXPECT_GT(q.wheel_size(), 0u);
+  q.schedule(t, [&] { order.push_back('A'); });
   q.schedule(t - 40'000, [&, t] {
-    // Inside the near horizon of t now; this insert routes to the heap.
     q.schedule(t, [&] { order.push_back('B'); });
   });
   q.run_all();
@@ -330,7 +325,7 @@ TEST(EventQueue, HandlerSchedulesFarFutureChild) {
   EXPECT_EQ(fired, (std::vector<SimTime>{10, 1'500'010}));
 }
 
-TEST(EventQueue, RunUntilLeavesWheelEventsPending) {
+TEST(EventQueue, RunUntilLeavesFarEventsPending) {
   EventQueue q;
   int fired = 0;
   q.schedule(100, [&] { ++fired; });
@@ -342,10 +337,9 @@ TEST(EventQueue, RunUntilLeavesWheelEventsPending) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, ManyFarEventsAcrossRevolutionsStaySorted) {
-  // Deterministic pseudo-random times spanning several ring revolutions,
-  // including duplicates: the fired sequence must be non-decreasing and
-  // complete.
+TEST(EventQueue, ManyFarEventsStaySorted) {
+  // Deterministic pseudo-random times spanning several seconds, including
+  // duplicates: the fired sequence must be non-decreasing and complete.
   EventQueue q;
   std::vector<SimTime> fired;
   std::uint64_t x = 12345;
@@ -410,15 +404,14 @@ TEST(EventQueue, RescheduleEqualsCancelPlusSchedule) {
   EXPECT_EQ(order, (std::vector<char>{'B', 'a'}));
 }
 
-TEST(EventQueue, RescheduleAcrossTiers) {
+TEST(EventQueue, RescheduleNearToFarAndBack) {
   EventQueue q;
   std::vector<char> order;
-  // Heap -> wheel.
+  // Near -> far.
   const auto a = q.schedule(10, [&] { order.push_back('a'); });
   const auto a2 = q.reschedule(a, 800'000);
   EXPECT_TRUE(a2.valid());
-  EXPECT_GT(q.wheel_size(), 0u);
-  // Wheel -> heap.
+  // Far -> near.
   const auto b = q.schedule(900'000, [&] { order.push_back('b'); });
   q.reschedule(b, 20);
   q.run_all();
