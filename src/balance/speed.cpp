@@ -62,8 +62,10 @@ void SpeedBalancer::add_managed(Task& t) {
       best = c;
     }
   }
+  // An initial placement, not a pull: tagging it SpeedBalancer would read
+  // as a pull the cooldown and ping-pong guards never saw.
   sim_->set_affinity(t, 1ULL << best, /*hard_pin=*/true,
-                     MigrationCause::SpeedBalancer);
+                     MigrationCause::Affinity);
 }
 
 bool SpeedBalancer::is_blocked(CoreId core) const {

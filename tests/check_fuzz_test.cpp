@@ -48,6 +48,30 @@ TEST(CheckFuzz, EpisodesBlock6) { run_block(126, 25); }
 TEST(CheckFuzz, EpisodesBlock7) { run_block(151, 25); }
 TEST(CheckFuzz, EpisodesBlock8) { run_block(176, 25); }
 
+TEST(CheckFuzz, ClusterPoolInjectIsNotAPull) {
+  // fuzzsim --mode=cluster --policy=SPEED --episodes=100 --seed=505, episode
+  // 41. The rebalancer injects a pool at t=850000us; the speed balancer's
+  // placement of the new workers must not be read as a pull, or its real
+  // pull back at t=1020633us looks like a ping-pong.
+  const FuzzScenario sc = FuzzScenario::from_json(
+      R"({"seed":546,"topo":"barcelona","mode":"cluster","policy":"SPEED",)"
+      R"("cores":3,"threads":6,"phases":3,"work_per_phase_us":39327.3885716,)"
+      R"("work_jitter":0.00872089209796,"barrier":"spin","workers":6,)"
+      R"("arrival":"diurnal","service":"pareto",)"
+      R"("utilization":0.954417175522,"mean_service_us":3386.33800538,)"
+      R"("duration_us":1390927,"serve_busy_poll":true,"nodes":5,)"
+      R"("cluster_dispatch":"rr","jsq_d":7,"hop_us":251.173384794,)"
+      R"("cluster_rebalance":true,"perturb_node":0,)"
+      R"("balance_interval_us":58220,"threshold":0.826391843323,)"
+      R"("share_count":false,"min_share":0.02,"share_hysteresis":0.02,)"
+      R"("adaptive":false,"perturb":["at=511580us spike core=1 work=7262us",)"
+      R"("at=130922us dvfs core=1 scale=0.501815","at=698728us offline core=2",)"
+      R"("at=779519us online core=2"],"broken":"none"})");
+  const EpisodeResult result = run_episode(sc);
+  EXPECT_TRUE(result.violations.empty())
+      << format_violations(result.violations);
+}
+
 TEST(CheckFuzz, ScenarioJsonRoundTripIsExact) {
   for (std::uint64_t seed : {1ULL, 17ULL, 4242ULL, 999983ULL}) {
     const FuzzScenario sc = generate(seed);
