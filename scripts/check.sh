@@ -3,9 +3,11 @@
 # logged, so failures replay from the log), then a ThreadSanitizer build of
 # the native balancer tests (worker thread + trace recorder) and an
 # AddressSanitizer build of the perturbation + native tests (timeline
-# parsing, fault-injection paths, hotplug drain); each sanitizer tree also
-# runs one fuzz episode. Run from anywhere; build trees live under build/,
-# build-tsan/, and build-asan/ at the repo root.
+# parsing, fault-injection paths, hotplug drain), and an
+# UndefinedBehaviorSanitizer build of the event queue, metrics and fuzz
+# tests; each sanitizer tree also runs fuzz episodes. Run from anywhere;
+# build trees live under build/, build-tsan/, build-asan/ and build-ubsan/
+# at the repo root.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -27,6 +29,8 @@ echo "== cluster-smoke: multi-node episode, rebalance log query =="
 # must migrate at least one pool, and obsquery must answer "why did pool X
 # move" from the episode's rebalance log. Cluster-mode fuzz episodes run the
 # cluster-wide request-conservation invariant plus the jobs-identity oracle.
+# The SPEED-only leg replays the pool-inject placement that was once read as
+# a speed-balancer pull (episode 41, seed 546).
 cluster_report="$repo/build/cluster_smoke_report.json"
 "$repo/build/src/clustersim" --nodes=4 --dispatch=rr --policy=SPEED \
   --duration-s=3 --warmup-s=0.3 --seed=42 --rebalance-epoch-ms=100 \
@@ -35,6 +39,7 @@ cluster_report="$repo/build/cluster_smoke_report.json"
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances >/dev/null
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances --pool=0 >/dev/null
 "$repo/build/src/fuzzsim" --episodes=25 --mode=cluster --seed=707
+"$repo/build/src/fuzzsim" --mode=cluster --policy=SPEED --episodes=100 --seed=505
 
 echo "== hetero-smoke: big.LITTLE partition bench, SHARE fuzz, analytic grid =="
 # The quick big.LITTLE sweep (SHARE vs the count/queue-length baselines),
@@ -58,9 +63,9 @@ echo "== bench-smoke: hot-path micro vs committed baseline =="
 echo "== spmd-smoke: spmd-mode fuzz episodes =="
 # 25 spmd-mode episodes so every fuzz mode (spmd/serve/cluster/hetero) gets a
 # fixed-seed 25-episode leg. The spmd episodes drive the event-queue lockstep
-# oracle — now covering the timing-wheel tier (far-future schedules, lazy
-# cancels in buckets, equal-timestamp cross-tier promotion) — plus the
-# exec-conservation probes that query the staged metrics tables mid-batch.
+# oracle (far-future schedules and cancels, equal-timestamp ties between far
+# and near inserts) plus the exec-conservation probes that query the metrics
+# tables mid-run.
 "$repo/build/src/fuzzsim" --episodes=25 --mode=spmd --seed=505
 
 echo "== obs-smoke: traced serve episode, span conservation, overhead gate =="
@@ -116,9 +121,9 @@ fuzz_seed=$((RANDOM * 65536 + RANDOM))
 echo "fuzz-smoke seed: $fuzz_seed"
 "$repo/build/src/fuzzsim" --episodes=400 --seed="$fuzz_seed" --max-seconds=30
 
-echo "== tsan: native balancer + serve + cluster + hetero + adaptive + arena/queue tests =="
-# util_test and sim_test ride along so the bump-arena (Metrics interval
-# storage) and the wheel-tier event queue get sanitizer coverage.
+echo "== tsan: native balancer + serve + cluster + hetero + adaptive + metrics/queue tests =="
+# util_test and sim_test ride along so the event queue and the Metrics
+# tables get sanitizer coverage.
 cmake -B "$repo/build-tsan" -S "$repo" -DSPEEDBAL_SANITIZE=thread >/dev/null
 cmake --build "$repo/build-tsan" -j "$jobs" --target native_test perturb_test serve_test cluster_test hetero_test util_test sim_test adaptive_test
 ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'native_test|perturb_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
@@ -131,12 +136,20 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + arena/queue tests =="
+echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue tests =="
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
 ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
 "$repo/build-asan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null
+
+echo "== ubsan: event queue + metrics + util + fuzz harness =="
+# UBSan aborts on the first report (-fno-sanitize-recover), so any
+# undefined behaviour fails the leg. check_test pulls in fuzzsim.
+cmake -B "$repo/build-ubsan" -S "$repo" -DSPEEDBAL_SANITIZE=undefined >/dev/null
+cmake --build "$repo/build-ubsan" -j "$jobs" --target sim_test util_test check_test
+ctest --test-dir "$repo/build-ubsan" --output-on-failure -R 'sim_test|util_test|check_test'
+"$repo/build-ubsan/src/fuzzsim" --episodes=25 --mode=spmd --seed=505 >/dev/null
 
 echo "check.sh: all green"
