@@ -4,8 +4,9 @@
 # the native balancer tests (worker thread + trace recorder) and an
 # AddressSanitizer build of the perturbation + native tests (timeline
 # parsing, fault-injection paths, hotplug drain), and an
-# UndefinedBehaviorSanitizer build of the event queue, metrics and fuzz
-# tests; each sanitizer tree also runs fuzz episodes. Run from anywhere;
+# UndefinedBehaviorSanitizer build of the event queue, metrics, procfs
+# parsers, pull rule, obs and fuzz tests; each sanitizer tree also runs
+# fuzz episodes. Run from anywhere;
 # build trees live under build/, build-tsan/, build-asan/ and build-ubsan/
 # at the repo root.
 set -euo pipefail
@@ -144,12 +145,13 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null
 
-echo "== ubsan: event queue + metrics + util + fuzz harness =="
+echo "== ubsan: event queue + metrics + util + native + pull rule + obs + fuzz harness =="
 # UBSan aborts on the first report (-fno-sanitize-recover), so any
-# undefined behaviour fails the leg. check_test pulls in fuzzsim.
+# undefined behaviour fails the leg. check_test pulls in fuzzsim;
+# native_test covers the procfs parsers, balance_test the shared pull rule.
 cmake -B "$repo/build-ubsan" -S "$repo" -DSPEEDBAL_SANITIZE=undefined >/dev/null
-cmake --build "$repo/build-ubsan" -j "$jobs" --target sim_test util_test check_test
-ctest --test-dir "$repo/build-ubsan" --output-on-failure -R 'sim_test|util_test|check_test'
+cmake --build "$repo/build-ubsan" -j "$jobs" --target sim_test util_test check_test native_test balance_test obs_test
+ctest --test-dir "$repo/build-ubsan" --output-on-failure -R 'sim_test|util_test|check_test|native_test|balance_test|obs_test'
 "$repo/build-ubsan/src/fuzzsim" --episodes=25 --mode=spmd --seed=505 >/dev/null
 
 echo "check.sh: all green"

@@ -20,7 +20,7 @@ void SpeedBalancer::attach(Simulator& sim) {
   const auto n = static_cast<std::size_t>(sim.num_cores());
   snapshots_.assign(n, {});
   snapshot_time_.assign(n, SimTime{0});
-  last_involved_.assign(n, kNever);
+  cooldown_.reset(n);
 
   std::uint64_t mask = 0;
   for (CoreId c : cores_) mask |= 1ULL << c;
@@ -69,10 +69,8 @@ void SpeedBalancer::add_managed(Task& t) {
 }
 
 bool SpeedBalancer::is_blocked(CoreId core) const {
-  const auto i = static_cast<std::size_t>(core);
-  return i < last_involved_.size() && last_involved_[i] != kNever &&
-         sim_->now() - last_involved_[i] <
-             params_.post_migration_block * params_.interval;
+  return cooldown_.involved_within(
+      core, sim_->now(), params_.post_migration_block * params_.interval);
 }
 
 void SpeedBalancer::balancer_wake(CoreId local) {
@@ -177,7 +175,7 @@ obs::SpeedSample SpeedBalancer::build_sample(CoreId local,
     const double sp = core_present_[i] != 0 ? core_speed_[i] : 0.0;
     s.core_speed.push_back(sp);
     s.queue_len.push_back(static_cast<int>(sim_->core(c).queue().nr_running()));
-    s.below_threshold.push_back(global > 0.0 && sp / global < params_.threshold);
+    s.below_threshold.push_back(below_threshold(sp, global, params_.threshold));
   }
   return s;
 }
@@ -195,19 +193,14 @@ void SpeedBalancer::balance_once(CoreId local) {
     }
     return;
   }
-  const int measured = measure_core_speeds(local);
-  if (measured == 0) return;
-
-  double global = 0.0;
-  for (std::size_t i = 0; i < core_present_.size(); ++i)
-    if (core_present_[i] != 0) global += core_speed_[i];
-  global /= static_cast<double>(measured);
+  if (measure_core_speeds(local) == 0) return;
+  const double global = global_speed(core_speed_, core_present_);
   last_global_ = global;
 
   const double local_speed = core_speed_[static_cast<std::size_t>(local)];
   std::int64_t sample_seq = -1;
   const auto log_decision = [&](obs::PullReason reason, CoreId source,
-                                double source_speed, TaskId victim = -1,
+                                double source_speed, std::int64_t victim = -1,
                                 bool tie_break = false,
                                 double warmup_charged_us = 0.0) {
     if (recorder_ == nullptr) return;
@@ -235,99 +228,37 @@ void SpeedBalancer::balance_once(CoreId local) {
   }
   if (global <= 0.0) return;
 
-  // Attempt to balance only when the local core is faster than average.
-  if (local_speed <= global) {
-    log_decision(obs::PullReason::BelowAverage, -1, 0.0);
-    return;
-  }
-
-  // Post-migration block: both parties of a recent migration sit out for at
-  // least two balance intervals so neither side's speed is stale. Pairs
-  // that share a cache may migrate more often (Section 5.2), so the block
-  // is evaluated per (local, candidate) pair.
-  const auto pair_blocked = [&](CoreId c) {
-    SimTime block = params_.post_migration_block * params_.interval;
-    if (sim_->topo().same_cache(local, c))
-      block = static_cast<SimTime>(static_cast<double>(block) *
-                                   params_.shared_cache_block_scale);
-    const auto involved_within = [&](CoreId core) {
-      const SimTime at = last_involved_[static_cast<std::size_t>(core)];
-      return at != kNever && sim_->now() - at < block;
-    };
-    return involved_within(local) || involved_within(c);
+  const Topology& topo = sim_->topo();
+  const auto gate = [&](CoreId c) -> Placement {
+    if (params_.block_numa && !topo.same_numa(local, c))
+      return {obs::PullReason::NumaBlocked};
+    if (sim_->domains().lowest_common_level(topo, local, c) >
+        params_.max_migration_level)
+      return {obs::PullReason::DomainBlocked};
+    return {std::nullopt, topo.same_cache(local, c)};
   };
-
-  // Find the slowest suitable remote core: sufficiently below the global
-  // average (threshold T_s), not recently involved, and reachable without
-  // crossing a blocked domain boundary.
-  CoreId source = -1;
-  double source_speed = std::numeric_limits<double>::max();
-  for (CoreId c = 0; c < sim_->num_cores(); ++c) {
-    if (core_present_[static_cast<std::size_t>(c)] == 0) continue;
-    const double s = core_speed_[static_cast<std::size_t>(c)];
-    if (c == local) continue;
-    if (s / global >= params_.threshold) {
-      log_decision(obs::PullReason::AboveThreshold, c, s);
-      continue;
+  const auto threads_on = [&](CoreId source, auto&& visit) {
+    for (const Task* t : managed_) {
+      if (t->state() == TaskState::Finished || t->core() != source) continue;
+      const auto i = static_cast<std::size_t>(t->id());
+      const LastPull lp = i < last_pull_.size() ? last_pull_[i] : LastPull{};
+      visit(PullThread{t->id(), t->migrations(),
+                       lp.from == local && lp.to == source ? lp.at : kNeverUs});
     }
-    if (params_.block_numa && !sim_->topo().same_numa(local, c)) {
-      log_decision(obs::PullReason::NumaBlocked, c, s);
-      continue;
-    }
-    if (sim_->domains().lowest_common_level(sim_->topo(), local, c) >
-        params_.max_migration_level) {
-      log_decision(obs::PullReason::DomainBlocked, c, s);
-      continue;
-    }
-    if (pair_blocked(c)) {
-      log_decision(obs::PullReason::MigrationBlocked, c, s);
-      continue;
-    }
-    if (s < source_speed) {
-      source_speed = s;
-      source = c;
-    }
-  }
-  if (source < 0) {
-    log_decision(obs::PullReason::NoCandidate, -1, 0.0);
-    return;
-  }
-
-  // Pull the managed thread on the source core that has migrated the least
-  // (avoids creating "hot-potato" tasks that bounce between queues). The
-  // guard makes that a hard rule: a thread this balancer just pushed to
-  // the source may not be pulled straight back within the guard window.
-  const SimTime guard = params_.hot_potato_guard * params_.interval;
-  const auto ping_pong = [&](const Task& t) {
-    if (guard <= 0) return false;
-    const auto i = static_cast<std::size_t>(t.id());
-    if (i >= last_pull_.size()) return false;
-    const LastPull& lp = last_pull_[i];
-    return lp.at != kNever && lp.from == local && lp.to == source &&
-           sim_->now() - lp.at < guard;
   };
-  Task* victim = nullptr;
-  int co_minimal = 0;  // Threads tied at the minimum migration count.
-  for (Task* t : managed_) {
-    if (t->state() == TaskState::Finished) continue;
-    if (t->core() != source) continue;
-    if (ping_pong(*t)) {
-      log_decision(obs::PullReason::HotPotato, source, source_speed, t->id());
-      continue;
-    }
-    if (victim == nullptr || t->migrations() < victim->migrations()) {
-      victim = t;
-      co_minimal = 1;
-    } else if (t->migrations() == victim->migrations()) {
-      ++co_minimal;
-      if (t->id() < victim->id()) victim = t;
-    }
-  }
-  if (victim == nullptr) {
-    log_decision(obs::PullReason::NoVictim, source, source_speed);
-    return;
-  }
+  const PullParams rule{params_.threshold,
+                        params_.post_migration_block * params_.interval,
+                        params_.shared_cache_block_scale,
+                        params_.hot_potato_guard * params_.interval};
+  const std::optional<PullChoice> pick =
+      decide_pull(PullView{local, core_speed_, core_present_, global, sim_->now()},
+                  rule, cooldown_, gate, threads_on, log_decision);
+  if (!pick) return;
 
+  const CoreId source = pick->source;
+  const double source_speed = core_speed_[static_cast<std::size_t>(source)];
+  Task* victim = *std::find_if(managed_.begin(), managed_.end(),
+                               [&](const Task* t) { return t->id() == pick->victim; });
   const double warm_before = victim->warmup_remaining();
   if (!sim_->set_affinity(*victim, 1ULL << local, /*hard_pin=*/true,
                           MigrationCause::SpeedBalancer)) {
@@ -344,9 +275,8 @@ void SpeedBalancer::balance_once(CoreId local) {
                 << source << " (s=" << source_speed << ") to core " << local
                 << " (s=" << local_speed << ", global=" << global << ")";
   log_decision(obs::PullReason::Pulled, source, source_speed, victim->id(),
-               /*tie_break=*/co_minimal > 1, warmup_charged);
-  last_involved_[static_cast<std::size_t>(local)] = sim_->now();
-  last_involved_[static_cast<std::size_t>(source)] = sim_->now();
+               pick->tie_break, warmup_charged);
+  cooldown_.mark(local, source, sim_->now());
   const auto vi = static_cast<std::size_t>(victim->id());
   if (vi >= last_pull_.size()) last_pull_.resize(vi + 1);
   last_pull_[vi] = LastPull{source, local, sim_->now()};

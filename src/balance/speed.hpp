@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "balance/balancer.hpp"
+#include "balance/pull_rule.hpp"
 #include "obs/recorder.hpp"
 #include "topo/domains.hpp"
 
@@ -91,7 +92,9 @@ struct SpeedBalanceParams {
 /// cores). If the local core is faster than the global average it pulls the
 /// least-migrated thread from a suitable slower core. Migration uses
 /// sched_setaffinity semantics (hard pin), so the kernel balancer never
-/// undoes its placements.
+/// undoes its placements. The pull rule itself is decide_pull
+/// (balance/pull_rule.hpp); this class measures, gates on NUMA and domain
+/// level, and performs the pull.
 class SpeedBalancer : public Balancer {
  public:
   /// `managed` are the application's threads; `cores` the user-requested
@@ -144,7 +147,7 @@ class SpeedBalancer : public Balancer {
   /// The constants currently in force (tests + the adaptive controller).
   const SpeedBalanceParams& params() const { return params_; }
 
-  /// Exposed for tests: current per-core speeds as of the last pass.
+  /// Exposed for tests: the global average speed as of the last pass.
   double last_global_speed() const { return last_global_; }
 
   /// Exposed for tests: whether `core` is inside its post-migration block.
@@ -183,9 +186,8 @@ class SpeedBalancer : public Balancer {
   // managed thread, so map lookups per thread were pure overhead.
   std::vector<std::vector<TaskSnap>> snapshots_;
   std::vector<SimTime> snapshot_time_;
-  // Shared (intra-process) record of each core's last migration involvement
-  // (kNever = never involved), indexed by CoreId.
-  std::vector<SimTime> last_involved_;
+  // Shared (intra-process) record of each core's last migration involvement.
+  PullCooldown cooldown_;
   // Each task's last speed pull, indexed by TaskId (hot-potato guard);
   // grown lazily as tasks appear.
   std::vector<LastPull> last_pull_;

@@ -29,12 +29,25 @@ NativeSpeedBalancer::NativeSpeedBalancer(pid_t target,
   } else {
     cores_ = config_.cores.cpus();
   }
+  const auto n = static_cast<std::size_t>(
+      cores_.empty() ? 0 : *std::max_element(cores_.begin(), cores_.end()) + 1);
+  speed_.assign(n, 0.0);
+  present_.assign(n, 0);
+  cooldown_.reset(n);
 }
 
 void NativeSpeedBalancer::set_recorder(obs::RunRecorder* rec) {
   recorder_ = rec;
   trace_origin_ = Clock::now();
   if (rec != nullptr) rec->timeline().set_cores(cores_);
+}
+
+std::map<int, double> NativeSpeedBalancer::core_speeds() const {
+  std::map<int, double> out;
+  for (const int c : cores_)
+    if (present_[static_cast<std::size_t>(c)] != 0)
+      out[c] = speed_[static_cast<std::size_t>(c)];
+  return out;
 }
 
 std::vector<int> NativeSpeedBalancer::quarantined_cores() const {
@@ -60,9 +73,7 @@ void NativeSpeedBalancer::pin_round_robin() {
   }
 }
 
-bool NativeSpeedBalancer::measure(std::map<int, double>& core_speed,
-                                  std::map<pid_t, double>& thread_speed,
-                                  std::map<pid_t, int>& thread_core) {
+bool NativeSpeedBalancer::measure(std::map<pid_t, int>& thread_core) {
   const std::int64_t fails_before = procfs_.read_failures();
   const auto samples = procfs_.all_task_times(target_);
   const auto now = Clock::now();
@@ -84,7 +95,6 @@ bool NativeSpeedBalancer::measure(std::map<int, double>& core_speed,
     if (have_sample_ && wall > 0.0) {
       const double cpu_s = static_cast<double>(s.total_ticks() - st.last_ticks) / hz;
       const double speed = std::clamp(cpu_s / wall, 0.0, 1.0);
-      thread_speed[s.tid] = speed;
       thread_core[s.tid] = s.cpu;
       auto& [sum, count] = acc[s.cpu];
       sum += speed;
@@ -100,9 +110,11 @@ bool NativeSpeedBalancer::measure(std::map<int, double>& core_speed,
   for (int c : cores_) {
     const auto it = acc.find(c);
     // An empty core offers full speed to anything migrated there.
-    core_speed[c] = it == acc.end() || it->second.second == 0
-                        ? 1.0
-                        : it->second.first / it->second.second;
+    speed_[static_cast<std::size_t>(c)] =
+        it == acc.end() || it->second.second == 0
+            ? 1.0
+            : it->second.first / it->second.second;
+    present_[static_cast<std::size_t>(c)] = 1;
   }
   return true;
 }
@@ -146,22 +158,13 @@ int NativeSpeedBalancer::step() {
   }
   pin_round_robin();  // Pick up dynamically spawned threads.
 
-  std::map<int, double> core_speed;
-  std::map<pid_t, double> thread_speed;
   std::map<pid_t, int> thread_core;
   const std::int64_t sample_fails_before = sample_failures_;
-  if (!measure(core_speed, thread_speed, thread_core)) {
+  if (!measure(thread_core)) {
     if (sample_failures_ > sample_fails_before) log_sample_failed();
     return 0;
   }
-
-  double global = 0.0;
-  for (const auto& [c, s] : core_speed) {
-    (void)c;
-    global += s;
-  }
-  global /= static_cast<double>(core_speed.size());
-  core_speeds_ = core_speed;
+  const double global = speedbal::global_speed(speed_, present_);
   global_speed_ = global;
 
   std::int64_t sample_seq = -1;
@@ -171,7 +174,7 @@ int NativeSpeedBalancer::step() {
     sample.observer = -1;  // Sequential sweep, not a per-core balancer.
     sample.global = global;
     for (const int c : cores_) {
-      const double s = core_speed.at(c);
+      const double s = speed_[static_cast<std::size_t>(c)];
       sample.core_speed.push_back(s);
       int managed = 0;
       for (const auto& [tid, core] : thread_core) {
@@ -179,36 +182,11 @@ int NativeSpeedBalancer::step() {
         if (core == c) ++managed;
       }
       sample.queue_len.push_back(managed);
-      sample.below_threshold.push_back(global > 0.0 &&
-                                       s / global < config_.threshold);
+      sample.below_threshold.push_back(below_threshold(s, global, config_.threshold));
     }
     sample_seq = recorder_->timeline().add(std::move(sample));
   }
   if (global <= 0.0) return 0;
-
-  const auto now = Clock::now();
-  const auto block = config_.post_migration_block * config_.interval;
-  const auto blocked = [&](int c) {
-    const auto it = last_involved_.find(c);
-    return it != last_involved_.end() && now - it->second < block;
-  };
-  const auto log_decision = [&](int local, obs::PullReason reason, int source,
-                                double source_speed, std::int64_t victim = -1,
-                                bool tie_break = false) {
-    if (recorder_ == nullptr) return;
-    obs::DecisionRecord rec;
-    rec.ts_us = ts_us;
-    rec.local = local;
-    rec.source = source;
-    rec.victim = victim;
-    rec.tie_break = tie_break;
-    rec.local_speed = core_speed.at(local);
-    rec.source_speed = source_speed;
-    rec.global = global;
-    rec.reason = reason;
-    rec.sample_seq = sample_seq;
-    recorder_->decisions().add(rec);
-  };
 
   // Per-core balancer passes in random order (the distributed balancers of
   // the paper wake with random jitter; order is the only difference).
@@ -223,89 +201,80 @@ int NativeSpeedBalancer::step() {
     const auto it = dead_until_.find(c);
     return it != dead_until_.end() && pass_count_ < it->second;
   };
+  const std::int64_t now_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          Clock::now().time_since_epoch())
+          .count();
+  const PullParams rule{
+      config_.threshold,
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          config_.post_migration_block * config_.interval)
+          .count(),
+      /*shared_cache_block_scale=*/1.0, /*hot_potato_guard_us=*/0};
+  const auto threads_on = [&](int source, auto&& visit) {
+    for (const auto& [tid, core] : thread_core)
+      if (core == source) visit(PullThread{tid, tids_[tid].migrations});
+  };
 
   int moved = 0;
   for (int local : order) {
+    const auto log = [&](obs::PullReason reason, int source,
+                         double source_speed, std::int64_t victim = -1,
+                         bool tie_break = false) {
+      if (recorder_ == nullptr) return;
+      obs::DecisionRecord rec;
+      rec.ts_us = ts_us;
+      rec.local = local;
+      rec.source = source;
+      rec.victim = victim;
+      rec.tie_break = tie_break;
+      rec.local_speed = speed_[static_cast<std::size_t>(local)];
+      rec.source_speed = source_speed;
+      rec.global = global;
+      rec.reason = reason;
+      rec.sample_seq = sample_seq;
+      recorder_->decisions().add(rec);
+    };
     if (quarantined(local)) {
-      log_decision(local, obs::PullReason::CoreOffline, -1, 0.0);
+      log(obs::PullReason::CoreOffline, -1, 0.0);
       continue;
     }
-    if (core_speed.at(local) <= global) {
-      log_decision(local, obs::PullReason::BelowAverage, -1, 0.0);
-      continue;
-    }
-    if (blocked(local)) {
-      log_decision(local, obs::PullReason::LocalBlocked, -1, 0.0);
-      continue;
-    }
-    int source = -1;
-    double source_speed = 2.0;
-    for (int c : cores_) {
-      if (c == local) continue;
-      const double s = core_speed.at(c);
-      if (quarantined(c)) {
-        log_decision(local, obs::PullReason::CoreOffline, c, s);
-        continue;
-      }
-      if (blocked(c)) {
-        log_decision(local, obs::PullReason::MigrationBlocked, c, s);
-        continue;
-      }
-      if (s / global >= config_.threshold) {
-        log_decision(local, obs::PullReason::AboveThreshold, c, s);
-        continue;
-      }
+    const auto gate = [&](int c) -> Placement {
+      if (quarantined(c)) return {obs::PullReason::CoreOffline};
       if (config_.block_numa && c < topo_.num_cpus() &&
-          local < topo_.num_cpus() && !topo_.same_numa(local, c)) {
-        log_decision(local, obs::PullReason::NumaBlocked, c, s);
-        continue;
-      }
-      if (s < source_speed) {
-        source_speed = s;
-        source = c;
-      }
-    }
-    if (source < 0) {
-      log_decision(local, obs::PullReason::NoCandidate, -1, 0.0);
-      continue;
-    }
+          local < topo_.num_cpus() && !topo_.same_numa(local, c))
+        return {obs::PullReason::NumaBlocked};
+      return {};
+    };
+    const std::optional<PullChoice> pick =
+        decide_pull(PullView{local, speed_, present_, global, now_us}, rule,
+                    cooldown_, gate, threads_on, log);
+    if (!pick) continue;
 
-    pid_t victim = -1;
-    int victim_migrations = 0;
-    int co_minimal = 0;  // Threads tied at the minimum migration count.
-    for (const auto& [tid, core] : thread_core) {
-      if (core != source) continue;
-      const int m = tids_[tid].migrations;
-      if (victim < 0 || m < victim_migrations) {
-        victim = tid;
-        victim_migrations = m;
-        co_minimal = 1;
-      } else if (m == victim_migrations) {
-        ++co_minimal;
-      }
-    }
-    if (victim < 0) {
-      log_decision(local, obs::PullReason::NoVictim, source, source_speed);
-      continue;
-    }
+    const int source = pick->source;
+    const double source_speed = speed_[static_cast<std::size_t>(source)];
+    const auto victim = static_cast<pid_t>(pick->victim);
     const int err = set_affinity_errno(victim, CpuSet::single(local),
                                        config_.affinity_retry,
                                        config_.fault_injector);
-    if (err == ESRCH) continue;  // Tid raced away; not a failure.
+    if (err == ESRCH) {
+      // The tid exited between sampling and the pull: not a failure, but
+      // the pass still ends with nothing pulled.
+      log(obs::PullReason::NoVictim, source, source_speed, victim);
+      continue;
+    }
     if (err == EINVAL) {
       // The destination core vanished (hotplug): every pull into it would
       // fail the same way, so quarantine it instead of retrying blindly.
       dead_until_[local] = pass_count_ + config_.dead_core_backoff_passes;
       ++affinity_failures_;
-      log_decision(local, obs::PullReason::CoreOffline, source, source_speed,
-                   victim);
+      log(obs::PullReason::CoreOffline, source, source_speed, victim);
       if (recorder_ != nullptr) recorder_->incr("affinity.einval");
       continue;
     }
     if (err != 0) {
       ++affinity_failures_;
-      log_decision(local, obs::PullReason::AffinityFailed, source, source_speed,
-                   victim);
+      log(obs::PullReason::AffinityFailed, source, source_speed, victim);
       if (recorder_ != nullptr) recorder_->incr("affinity.failed");
       continue;
     }
@@ -313,11 +282,9 @@ int NativeSpeedBalancer::step() {
     ++tids_[victim].migrations;
     ++migrations_;
     ++moved;
-    last_involved_[local] = now;
-    last_involved_[source] = now;
+    cooldown_.mark(local, source, now_us);
     thread_core[victim] = local;
-    log_decision(local, obs::PullReason::Pulled, source, source_speed, victim,
-                 /*tie_break=*/co_minimal > 1);
+    log(obs::PullReason::Pulled, source, source_speed, victim, pick->tie_break);
     if (recorder_ != nullptr) {
       recorder_->trace().instant(ts_us, local, "migration", "migrate",
                                  {{"tid", static_cast<double>(victim)},

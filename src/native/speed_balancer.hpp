@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <map>
 #include <thread>
+#include <vector>
 
+#include "balance/pull_rule.hpp"
 #include "native/affinity.hpp"
 #include "native/cpu_topology.hpp"
 #include "native/procfs.hpp"
@@ -50,7 +52,10 @@ struct NativeBalancerConfig {
 /// the global speed; within a single process that distribution only adds
 /// scheduling jitter, so this implementation performs the per-core passes
 /// sequentially in a randomized order each interval — the per-core decision
-/// rule is identical.
+/// rule is identical: decide_pull (balance/pull_rule.hpp), the same kernel
+/// the simulated SpeedBalancer runs, with no cache-scaled block and no
+/// hot-potato guard. This class keeps the /proc sampling, the quarantine of
+/// hotplugged-out cores, and the sched_setaffinity error handling.
 class NativeSpeedBalancer {
  public:
   NativeSpeedBalancer(pid_t target, NativeBalancerConfig config,
@@ -74,7 +79,7 @@ class NativeSpeedBalancer {
 
   std::int64_t migrations() const { return migrations_; }
   /// Speeds from the most recent pass, per core (for tests/telemetry).
-  const std::map<int, double>& core_speeds() const { return core_speeds_; }
+  std::map<int, double> core_speeds() const;
   double global_speed() const { return global_speed_; }
   /// Cores currently quarantined after EINVAL pull failures (hotplugged
   /// out); probed again after dead_core_backoff_passes passes.
@@ -98,9 +103,9 @@ class NativeSpeedBalancer {
     bool seen = false;
   };
 
-  bool measure(std::map<int, double>& core_speed,
-               std::map<pid_t, double>& thread_speed,
-               std::map<pid_t, int>& thread_core);
+  /// Sample every thread; on success fills speed_/present_ and the core
+  /// each thread ran on.
+  bool measure(std::map<pid_t, int>& thread_core);
 
   pid_t target_;
   NativeBalancerConfig config_;
@@ -113,8 +118,10 @@ class NativeSpeedBalancer {
   std::chrono::steady_clock::time_point last_sample_{};
   bool have_sample_ = false;
 
-  std::map<int, std::chrono::steady_clock::time_point> last_involved_;
-  std::map<int, double> core_speeds_;
+  PullCooldown cooldown_;
+  // Last pass's per-core speeds, indexed by core id (present_ marks cores_).
+  std::vector<double> speed_;
+  std::vector<std::uint8_t> present_;
   double global_speed_ = 0.0;
   std::int64_t migrations_ = 0;
   /// Quarantine bookkeeping: core -> pass index at which to probe again.

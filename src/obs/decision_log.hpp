@@ -1,10 +1,9 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
-#include <vector>
+
+#include "obs/capped_log.hpp"
 
 namespace speedbal::obs {
 
@@ -14,13 +13,15 @@ namespace speedbal::obs {
 enum class PullReason {
   Pulled = 0,        ///< A migration was performed.
   BelowAverage,      ///< Pass skipped: local core not faster than the global average.
-  LocalBlocked,      ///< Pass skipped: local core inside its post-migration block.
+  LocalBlocked,      ///< Not emitted (a blocked local core logs per-candidate
+                     ///< MigrationBlocked); kept because reports key on it.
   AboveThreshold,    ///< Candidate rejected: s_k / s_global >= T_s.
   MigrationBlocked,  ///< Candidate rejected: inside its post-migration block.
   NumaBlocked,       ///< Candidate rejected: would cross a NUMA boundary.
   DomainBlocked,     ///< Candidate rejected: above the allowed scheduling-domain level.
   NoCandidate,       ///< Pass found no source core after all rejections.
-  NoVictim,          ///< Source chosen but it held no managed thread to pull.
+  NoVictim,          ///< Source chosen but it held no managed thread to pull
+                     ///< (native: or the chosen thread exited first).
   HotPotato,         ///< Victim skipped: pulling it back inside the guard
                      ///< window would complete an A->B->A ping-pong.
   // Perturbation-caused outcomes (hotplug / fault injection).
@@ -60,28 +61,7 @@ struct DecisionRecord {
   double warmup_charged_us = 0.0;
 };
 
-/// Append-only balancer decision log with per-reason counters. Record
-/// storage is capped (counters are not) so pathological runs cannot grow
-/// the log unboundedly.
-class DecisionLog {
- public:
-  void add(const DecisionRecord& rec);
-
-  std::vector<DecisionRecord> snapshot() const;
-  std::size_t size() const;
-
-  std::int64_t count(PullReason r) const;
-  std::array<std::int64_t, kNumPullReasons> counts() const;
-  std::int64_t dropped() const;
-
-  void set_record_cap(std::size_t cap);
-
- private:
-  mutable std::mutex mu_;
-  std::vector<DecisionRecord> records_;
-  std::array<std::int64_t, kNumPullReasons> counts_{};
-  std::size_t record_cap_ = 100000;
-  std::int64_t dropped_ = 0;
-};
+/// Append-only balancer decision log with per-reason counters.
+using DecisionLog = CappedLog<DecisionRecord, &DecisionRecord::reason, kNumPullReasons>;
 
 }  // namespace speedbal::obs

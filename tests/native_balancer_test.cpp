@@ -7,8 +7,10 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
+#include <vector>
 
 #include "obs/recorder.hpp"
 #include "util/json.hpp"
@@ -153,6 +155,52 @@ TEST(NativeSpeedBalancer, MigrationAttemptOnFakeTidsFailsSafely) {
   // fails; the balancer must carry on without counting a migration.
   EXPECT_EQ(balancer.step(), 0);
   EXPECT_EQ(balancer.migrations(), 0);
+}
+
+// Pass-ending reasons: every per-core pass leaves exactly one of these.
+// Candidate- and victim-level rejections do not end a pass; CoreOffline ends
+// one only for the local core (no source) or a failed pull (a victim).
+bool terminal(const obs::DecisionRecord& d) {
+  switch (d.reason) {
+    case obs::PullReason::AboveThreshold:
+    case obs::PullReason::MigrationBlocked:
+    case obs::PullReason::NumaBlocked:
+    case obs::PullReason::DomainBlocked:
+    case obs::PullReason::HotPotato:
+      return false;
+    case obs::PullReason::CoreOffline:
+      return d.source < 0 || d.victim >= 0;
+    default:
+      return true;
+  }
+}
+
+TEST(NativeSpeedBalancer, VanishedVictimStillEndsThePassWithARecord) {
+  // CPU 0 fast, CPU 1 slow: local 0 picks source 1, but its fake tid makes
+  // sched_setaffinity fail with ESRCH. The pass must still leave a record.
+  if (!improbable_pids_free()) GTEST_SKIP();
+  FakeProc proc;
+  const long hz = Procfs::ticks_per_second();
+  proc.set_thread(kPid, kTidA, 0, 0);
+  proc.set_thread(kPid, kTidB, 0, 1);
+  NativeSpeedBalancer balancer(kPid, test_config(), Procfs(proc.root()),
+                               two_cpu_topology());
+  obs::RunRecorder rec;
+  balancer.set_recorder(&rec);
+  balancer.step();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  proc.set_thread(kPid, kTidA, 100 * hz, 0);
+  proc.set_thread(kPid, kTidB, 0, 1);
+  EXPECT_EQ(balancer.step(), 0);
+
+  std::map<int, std::vector<obs::DecisionRecord>> ends;
+  for (const auto& d : rec.decisions().snapshot())
+    if (terminal(d)) ends[d.local].push_back(d);
+  ASSERT_EQ(ends[0].size(), 1u);
+  ASSERT_EQ(ends[1].size(), 1u);
+  EXPECT_EQ(ends[0][0].reason, obs::PullReason::NoVictim);
+  EXPECT_EQ(ends[0][0].source, 1);
+  EXPECT_EQ(ends[1][0].reason, obs::PullReason::BelowAverage);
 }
 
 TEST(NativeSpeedBalancer, RecorderCapturesTimelineAndDecisions) {
