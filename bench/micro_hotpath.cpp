@@ -10,9 +10,9 @@
 //   4. Telemetry overhead: the same serve episode untraced vs recorded at
 //      1/64 span sampling, reporting requests/sec for both plus the
 //      observability layer's self-measured share of the traced wall time.
-//   5. Accounting churn: record_run/record_segment into the exec and
-//      interval tables, with periodic windowed queries (the per-dispatch
-//      metrics hot path).
+//   5. Accounting churn: record_run/record_segment into the exec table and
+//      the segment log, with periodic windowed queries that catch the
+//      per-task window index up (the per-flush metrics hot path).
 //
 //   micro_hotpath [--quick] [--seed=42] [--jobs=N] [--report-json=FILE]
 //                 [--check-against=FILE] [--check-tolerance=0.20]

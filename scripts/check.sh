@@ -3,7 +3,8 @@
 # logged, so failures replay from the log), then a ThreadSanitizer build of
 # the native balancer tests (worker thread + trace recorder) and an
 # AddressSanitizer build of the perturbation + native tests (timeline
-# parsing, fault-injection paths, hotplug drain), and an
+# parsing, fault-injection paths, hotplug drain) and of the inspect_rotation
+# example (window-index build), and an
 # UndefinedBehaviorSanitizer build of the event queue, metrics, procfs
 # parsers, pull rule, obs and fuzz tests; each sanitizer tree also runs
 # fuzz episodes. Run from anywhere;
@@ -137,13 +138,17 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue tests =="
+echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue tests + inspect_rotation =="
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
 cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
 ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
 "$repo/build-asan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null
+# inspect_rotation queries exec_in_window after the run, so the window index
+# is built from the whole segment log under ASan.
+cmake --build "$repo/build-asan" -j "$jobs" --target inspect_rotation
+"$repo/build-asan/examples/inspect_rotation" >/dev/null
 
 echo "== ubsan: event queue + metrics + util + native + pull rule + obs + fuzz harness =="
 # UBSan aborts on the first report (-fno-sanitize-recover), so any

@@ -60,8 +60,7 @@ void Metrics::record_run(TaskId task, CoreId core, SimTime dur) {
   per_core[static_cast<std::size_t>(core)] += dur;
 }
 
-void Metrics::record_segment(const RunSegment& seg) {
-  segments_.push_back(seg);
+void Metrics::index_segment(const RunSegment& seg) const {
   const auto t = static_cast<std::size_t>(seg.task);
   const auto core = static_cast<std::int16_t>(seg.core);
   if (t >= intervals_.size()) {
@@ -101,6 +100,7 @@ void Metrics::reset() {
   exec_.clear();
   intervals_.clear();
   last_core_.clear();
+  indexed_ = 0;
   segments_.clear();
   migrations_.clear();
   cause_counts_.fill(0);
@@ -118,6 +118,9 @@ SimTime Metrics::total_exec(TaskId task) const {
 }
 
 SimTime Metrics::exec_in_window(TaskId task, SimTime from, SimTime to) const {
+  // Catch the index up with every segment recorded since the last query.
+  for (; indexed_ < segments_.size(); ++indexed_)
+    index_segment(segments_[indexed_]);
   const auto t = static_cast<std::size_t>(task);
   if (task < 0 || t >= intervals_.size() || from >= to) return 0;
   const auto& iv = intervals_[t];

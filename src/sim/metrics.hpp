@@ -56,9 +56,11 @@ struct RunSegment {
 };
 
 /// Run-wide observability: execution accounting per task per core, the
-/// migration log, and completion times. Collected unconditionally (cheap);
-/// the property tests and figure harnesses read it back. Every record goes
-/// straight into the tables it feeds, so queries read them as they stand.
+/// run-segment log, and the migration log. Collected unconditionally
+/// (cheap); the property tests and figure harnesses read it back. The exec
+/// table and the logs are written on every record; the per-task window
+/// index behind `exec_in_window` is built from the segment log on the first
+/// query after new records, so runs that never query it never pay for it.
 class Metrics {
  public:
   explicit Metrics(int num_cores)
@@ -67,9 +69,8 @@ class Metrics {
     cause_counts_.fill(0);
   }
 
-  /// One contiguous execution stretch: the exec-table add and the
-  /// segment/interval append together. This is the Simulator's per-dispatch
-  /// call.
+  /// One contiguous execution stretch: the exec-table add and the segment
+  /// append together. This is the Simulator's per-flush accounting call.
   void record_exec(TaskId task, CoreId core, SimTime start, SimTime dur) {
     record_run(task, core, dur);
     record_segment({task, core, start, dur});
@@ -79,13 +80,15 @@ class Metrics {
   /// execution without timestamps.
   void record_run(TaskId task, CoreId core, SimTime dur);
 
-  /// Record run segments with timestamps, without exec-table accounting
-  /// (`record_exec` does both). Segment capture costs memory proportional
-  /// to context switches; it is always on — runs are short-lived objects.
-  /// Segments of one task are expected in non-decreasing start order (they
-  /// cannot overlap); out-of-order recording is tolerated but pays a sorted
-  /// insert.
-  void record_segment(const RunSegment& seg);
+  /// Record a run segment with timestamps, without exec-table accounting
+  /// (`record_exec` does both): one append to the segment log. Segment
+  /// memory grows with accounting flushes, not context switches (perfbench
+  /// sees ~0.92 segments per simulator event on cluster_dvfs and ~6.4 on
+  /// spmd_npb); capture is always on because `segments()` feeds
+  /// `export_run_to_recorder`. Segments of one task are expected in
+  /// non-decreasing start order (they cannot overlap); an out-of-order one
+  /// is tolerated and pays a sorted insert when the index catches up.
+  void record_segment(const RunSegment& seg) { segments_.push_back(seg); }
 
   void record_migration(const MigrationRecord& rec);
 
@@ -100,7 +103,11 @@ class Metrics {
   const std::vector<RunSegment>& segments() const { return segments_; }
 
   /// Execution time of `task` within the window [from, to) (clipped).
-  /// O(log segments-of-task) via the per-task interval accumulator.
+  /// First indexes every segment recorded since the previous query
+  /// (amortised O(1) per segment in start order), then answers in
+  /// O(log segments-of-task) via the per-task interval accumulator. The
+  /// query is `const` but updates that index, so one Metrics must not be
+  /// queried from two threads at once.
   SimTime exec_in_window(TaskId task, SimTime from, SimTime to) const;
 
   /// Fraction of the task's execution spent on cores where `pred(core)`
@@ -140,18 +147,23 @@ class Metrics {
     SimTime end() const { return start + dur; }
   };
 
+  /// Fold one segment into `intervals_`/`last_core_`.
+  void index_segment(const RunSegment& seg) const;
+
   int num_cores_;
   /// Per-task per-core execution, indexed [task][core]; rows are allocated
   /// on a task's first run.
   std::vector<std::vector<SimTime>> exec_;
+  std::vector<RunSegment> segments_;
   /// Per-task interval accumulator, indexed [task]; sorted by start, with
   /// exactly-adjacent same-core runs merged (exec_in_window is unaffected:
-  /// contiguous intervals sum identically merged or split).
-  std::vector<std::vector<Interval>> intervals_;
-  std::vector<RunSegment> segments_;
+  /// contiguous intervals sum identically merged or split). Covers
+  /// segments_[0, indexed_); exec_in_window indexes the rest first.
+  mutable std::vector<std::vector<Interval>> intervals_;
   /// Core of the last interval per task, for the adjacent-merge check
   /// (intervals themselves don't store the core).
-  std::vector<std::int16_t> last_core_;
+  mutable std::vector<std::int16_t> last_core_;
+  mutable std::size_t indexed_ = 0;
   std::vector<MigrationRecord> migrations_;
   std::array<std::int64_t, kNumMigrationCauses> cause_counts_;
   /// Correctly-sized all-zero row returned for tasks that never ran, so

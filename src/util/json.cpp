@@ -3,31 +3,45 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
 
 namespace speedbal {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
+namespace {
+
+/// Stream `s` escaped for a JSON string literal without building a
+/// temporary: runs of characters that need no escape go out in one write.
+void write_escaped(std::ostream& os, std::string_view s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
+      continue;
+    os.write(s.data() + run, static_cast<std::streamsize>(i - run));
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        os << buf;
+      }
     }
   }
-  return out;
+  os.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::ostringstream os;
+  write_escaped(os, s);
+  return os.str();
 }
 
 // --- JsonWriter -----------------------------------------------------------
@@ -83,13 +97,17 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   if (!top.first) os_ << ',';
   top.first = false;
   top.key_pending = true;
-  os_ << '"' << json_escape(k) << "\":";
+  os_ << '"';
+  write_escaped(os_, k);
+  os_ << "\":";
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  os_ << '"' << json_escape(v) << '"';
+  os_ << '"';
+  write_escaped(os_, v);
+  os_ << '"';
   return *this;
 }
 

@@ -8,6 +8,8 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/scenarios.hpp"
 #include "obs/recorder.hpp"
@@ -43,6 +45,40 @@ TEST(Json, WriterParserRoundTrip) {
   EXPECT_EQ(doc.at("list")[2].as_int(), 3);
   EXPECT_EQ(doc.at("nested").at("k").as_string(), "v");
   EXPECT_EQ(doc.find("absent"), nullptr);
+}
+
+TEST(Json, WriterEscapesExactly) {
+  // Byte-for-byte: the writer escapes only '"', '\\' and bytes below 0x20
+  // (\n, \r, \t by name, the rest as \u00XX), in keys and values alike, and
+  // passes every other byte through unchanged.
+  const std::string ctl("\x01", 1);
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", ""},
+      {"plain", "plain"},
+      {"\"", "\\\""},
+      {"\\", "\\\\"},
+      {"\n", "\\n"},
+      {"\r", "\\r"},
+      {"\t", "\\t"},
+      {ctl, "\\u0001"},
+      {std::string("\x1f", 1), "\\u001f"},
+      {"\"lead", "\\\"lead"},
+      {"mid\\dle", "mid\\\\dle"},
+      {"trail\n", "trail\\n"},
+      {"\ta\rb" + ctl + "c\"", "\\ta\\rb\\u0001c\\\""},
+      {"\"\\\n\r\t" + ctl, "\\\"\\\\\\n\\r\\t\\u0001"},
+      {"caf\xc3\xa9 /", "caf\xc3\xa9 /"},
+  };
+  for (const auto& [raw, escaped] : cases) {
+    SCOPED_TRACE(escaped);
+    std::ostringstream os;
+    JsonWriter(os).begin_object().kv(raw, raw).end_object();
+    EXPECT_EQ(os.str(), "{\"" + escaped + "\":\"" + escaped + "\"}");
+    EXPECT_EQ(json_escape(raw), escaped);
+    std::ostringstream arr;
+    JsonWriter(arr).begin_array().value(raw).value(raw).end_array();
+    EXPECT_EQ(arr.str(), "[\"" + escaped + "\",\"" + escaped + "\"]");
+  }
 }
 
 TEST(Json, ParserRejectsMalformed) {

@@ -2,8 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <vector>
+
+#include "balance/linux_load.hpp"
+#include "balance/speed.hpp"
+#include "topo/presets.hpp"
+#include "workload/generator.hpp"
+
 namespace speedbal {
 namespace {
+
+/// Reference answer for exec_in_window: the clipped overlap of every
+/// recorded segment of `task` with [from, to), summed by a linear scan.
+SimTime brute_exec_in_window(const Metrics& m, TaskId task, SimTime from,
+                             SimTime to) {
+  SimTime total = 0;
+  for (const RunSegment& s : m.segments()) {
+    if (s.task != task) continue;
+    total += std::max<SimTime>(
+        0, std::min(s.start + s.dur, to) - std::max(s.start, from));
+  }
+  return total;
+}
 
 TEST(Metrics, RecordsExecByCore) {
   Metrics m(4);
@@ -223,6 +246,137 @@ TEST(Metrics, ResetDropsIntervalsAndAcceptsNewRecords) {
     m.record_segment({2, i % 2, usec(i * 10), usec(5)});
   EXPECT_EQ(m.exec_in_window(2, 0, usec(100'000)), usec(25'000));
   EXPECT_EQ(m.exec_in_window(1, 0, usec(100'000)), 0);
+}
+
+/// Random non-overlapping segments for `kTasks` tasks on `kCores` cores,
+/// with gaps, exactly-adjacent same-core runs and adjacent core switches,
+/// and queries interleaved between records. Every answer must equal the
+/// brute-force sum over segments() as they stand at the query point.
+class WindowIndexRig {
+ public:
+  static constexpr int kTasks = 4;
+  static constexpr int kCores = 3;
+
+  explicit WindowIndexRig(std::uint64_t seed) : rng_(seed) {
+    cursor_.assign(kTasks, 0);
+    core_.assign(kTasks, 0);
+  }
+
+  /// Pick a task and append its next segment; returns that segment.
+  RunSegment record(Metrics& m) {
+    const auto t = static_cast<std::size_t>(draw(kTasks));
+    switch (draw(3)) {
+      case 0:  // Same core, exactly adjacent: merges in the index.
+        break;
+      case 1:  // Adjacent, on a different core: never merges.
+        core_[t] =
+            static_cast<CoreId>((core_[t] + 1 + draw(kCores - 1)) % kCores);
+        break;
+      default:  // A gap on the same core.
+        cursor_[t] += usec(1 + draw(50));
+        break;
+    }
+    const RunSegment seg{static_cast<TaskId>(t), core_[t], cursor_[t],
+                         usec(1 + draw(40))};
+    cursor_[t] += seg.dur;
+    m.record_segment(seg);
+    return seg;
+  }
+
+  /// Run a few random queries (including empty/inverted windows and a
+  /// task never recorded) and compare each with the brute-force sum.
+  void check_queries(const Metrics& m, int queries) {
+    const SimTime horizon =
+        *std::max_element(cursor_.begin(), cursor_.end()) + usec(10);
+    for (int q = 0; q < queries; ++q) {
+      // Task kTasks never runs.
+      const auto task = static_cast<TaskId>(draw(kTasks + 1));
+      const SimTime from = draw(horizon);
+      const SimTime to = draw(horizon);
+      ASSERT_EQ(m.exec_in_window(task, from, to),
+                from < to ? brute_exec_in_window(m, task, from, to) : 0)
+          << "task " << task << " [" << from << ", " << to << ")";
+    }
+  }
+
+  /// Leave a hole at the start of task 0's timeline so a later record can
+  /// land before segments already indexed.
+  void open_hole(SimTime width) { cursor_[0] += width; }
+
+ private:
+  std::int64_t draw(std::int64_t n) {
+    return static_cast<std::int64_t>(rng_() % static_cast<std::uint64_t>(n));
+  }
+
+  std::mt19937_64 rng_;
+  std::vector<SimTime> cursor_;
+  std::vector<CoreId> core_;
+};
+
+TEST(Metrics, WindowIndexMatchesBruteForceWithInterleavedQueries) {
+  Metrics m(WindowIndexRig::kCores);
+  WindowIndexRig rig(20261017);
+  rig.open_hole(usec(1000));
+  for (int i = 0; i < 400; ++i) {
+    rig.record(m);
+    if (i % 7 == 0) rig.check_queries(m, 5);
+    if (i == 200) {
+      // The one out-of-order record: inside task 0's leading hole, after
+      // its later segments have been indexed by the queries above.
+      m.record_segment({0, 2, usec(300), usec(400)});
+      rig.check_queries(m, 20);
+    }
+  }
+  rig.check_queries(m, 200);
+}
+
+TEST(Metrics, WindowIndexRebuildsAfterResetMidRun) {
+  Metrics m(WindowIndexRig::kCores);
+  WindowIndexRig first(7919);
+  for (int i = 0; i < 150; ++i) {
+    first.record(m);
+    if (i % 10 == 0) first.check_queries(m, 5);
+  }
+  // Records made after the last query are still unindexed at reset time.
+  for (int i = 0; i < 20; ++i) first.record(m);
+  m.reset();
+  for (TaskId t = 0; t <= WindowIndexRig::kTasks; ++t)
+    EXPECT_EQ(m.exec_in_window(t, 0, sec(1)), 0);
+  WindowIndexRig second(1);
+  for (int i = 0; i < 150; ++i) {
+    second.record(m);
+    if (i % 10 == 0) second.check_queries(m, 5);
+  }
+  second.check_queries(m, 100);
+}
+
+TEST(Metrics, WindowIndexMatchesBruteForceOnRotationRun) {
+  // The inspect_rotation example's run: 3 threads x 2 s of work on 2 cores
+  // under speed balancing. Every 100 ms window of every thread must match
+  // the brute-force sum over the recorded segments.
+  Simulator sim(presets::generic(2), {}, 42);
+  LinuxLoadBalancer lb;
+  lb.attach(sim);
+  SpmdApp app(sim, workload::uniform_app(3, 1, 2e6));
+  app.launch(SpmdApp::Placement::LinuxFork, workload::first_cores(2));
+  SpeedBalancer sb({}, app.threads(), workload::first_cores(2));
+  sb.attach(sim);
+  sim.run_while_pending([&] { return app.finished(); }, sec(60));
+  ASSERT_TRUE(app.finished());
+
+  const Metrics& m = sim.metrics();
+  const SimTime wall = app.elapsed();
+  ASSERT_GT(wall, sec(2));
+  for (const Task* t : app.threads()) {
+    SimTime summed = 0;
+    for (SimTime w = 0; w < sim.now(); w += msec(100)) {
+      const SimTime exec = m.exec_in_window(t->id(), w, w + msec(100));
+      ASSERT_EQ(exec, brute_exec_in_window(m, t->id(), w, w + msec(100)))
+          << t->name() << " window at " << w;
+      summed += exec;
+    }
+    EXPECT_EQ(summed, m.total_exec(t->id())) << t->name();
+  }
 }
 
 TEST(Metrics, ManyRecordsAreLossless) {
