@@ -3,7 +3,8 @@
 # logged, so failures replay from the log), then a ThreadSanitizer build of
 # the native balancer tests (worker thread + trace recorder) and an
 # AddressSanitizer build of the perturbation + native tests (timeline
-# parsing, fault-injection paths, hotplug drain) and of the inspect_rotation
+# parsing, fault-injection paths, hotplug drain), the obs tests (JSON
+# writer/parser, recorder exports) and of the inspect_rotation
 # example (window-index build), and an
 # UndefinedBehaviorSanitizer build of the event queue, metrics, procfs
 # parsers, pull rule, obs and fuzz tests; each sanitizer tree also runs
@@ -138,10 +139,12 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue tests + inspect_rotation =="
+echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue + obs tests + inspect_rotation =="
+# obs_test drives the JSON writer (straight into the stream buffer) and the
+# parser over malformed input, plus the recorder's trace and report exports.
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
-cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test fuzzsim
-ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test'
+cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test obs_test fuzzsim
+ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test|obs_test'
 "$repo/build-asan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null

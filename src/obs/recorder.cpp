@@ -75,14 +75,17 @@ void RunRecorder::write_chrome_trace(std::ostream& os) const {
   // Run segments -> "run" spans on the executing core's track (node-scoped
   // tracks for cluster runs, so per-node activity stays one row per core).
   // Derived here, not on the hot path: the table holds compact PODs.
+  std::vector<int> node_tracks;  // every (node, core) track a segment used
   for (const auto& seg : run_segments_.snapshot()) {
     TraceEvent ev;
     ev.kind = EventKind::Span;
     ev.ts_us = seg.start_us;
     ev.dur_us = seg.dur_us;
-    ev.track = seg.node < 0 ? seg.core
-                            : kNodeTrackBase + seg.node * kNodeTrackStride +
-                                  seg.core;
+    ev.track = seg.core;
+    if (seg.node >= 0) {
+      ev.track = kNodeTrackBase + seg.node * kNodeTrackStride + seg.core;
+      node_tracks.push_back(ev.track);
+    }
     ev.name = "task " + std::to_string(seg.task);
     ev.cat = "run";
     events.push_back(std::move(ev));
@@ -263,11 +266,6 @@ void RunRecorder::write_chrome_trace(std::ostream& os) const {
     track_names.emplace_back(c, "core " + std::to_string(c));
   {
     // Label every (node, core) track that run segments actually used.
-    std::vector<int> node_tracks;
-    for (const auto& seg : run_segments_.snapshot())
-      if (seg.node >= 0)
-        node_tracks.push_back(kNodeTrackBase + seg.node * kNodeTrackStride +
-                              seg.core);
     std::sort(node_tracks.begin(), node_tracks.end());
     node_tracks.erase(std::unique(node_tracks.begin(), node_tracks.end()),
                       node_tracks.end());

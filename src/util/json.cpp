@@ -1,14 +1,31 @@
 #include "util/json.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 namespace speedbal {
 
 namespace {
+
+// The writer goes straight to the stream's buffer: no sentry per token, and
+// numbers are formatted by std::to_chars, so the output does not depend on
+// the stream's locale. A short write sets badbit, as ostream::write would.
+
+void put(std::ostream& os, char c) {
+  std::streambuf* buf = os.rdbuf();
+  if (buf == nullptr || std::streambuf::traits_type::eq_int_type(
+                            buf->sputc(c), std::streambuf::traits_type::eof()))
+    os.setstate(std::ios::badbit);
+}
+
+void put(std::ostream& os, std::string_view s) {
+  const auto n = static_cast<std::streamsize>(s.size());
+  std::streambuf* buf = os.rdbuf();
+  if (buf == nullptr || buf->sputn(s.data(), n) != n)
+    os.setstate(std::ios::badbit);
+}
 
 /// Stream `s` escaped for a JSON string literal without building a
 /// temporary: runs of characters that need no escape go out in one write.
@@ -18,22 +35,23 @@ void write_escaped(std::ostream& os, std::string_view s) {
     const char c = s[i];
     if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20)
       continue;
-    os.write(s.data() + run, static_cast<std::streamsize>(i - run));
+    put(os, s.substr(run, i - run));
     run = i + 1;
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
+      case '"': put(os, "\\\""); break;
+      case '\\': put(os, "\\\\"); break;
+      case '\n': put(os, "\\n"); break;
+      case '\r': put(os, "\\r"); break;
+      case '\t': put(os, "\\t"); break;
       default: {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        os << buf;
+        constexpr char kHex[] = "0123456789abcdef";
+        const char esc[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xf],
+                            kHex[c & 0xf]};
+        put(os, std::string_view(esc, sizeof(esc)));
       }
     }
   }
-  os.write(s.data() + run, static_cast<std::streamsize>(s.size() - run));
+  put(os, s.substr(run));
 }
 
 }  // namespace
@@ -55,13 +73,13 @@ void JsonWriter::before_value() {
     top.key_pending = false;
     return;
   }
-  if (!top.first) os_ << ',';
+  if (!top.first) put(os_, ',');
   top.first = false;
 }
 
 JsonWriter& JsonWriter::begin_object() {
   before_value();
-  os_ << '{';
+  put(os_, '{');
   stack_.push_back({/*is_object=*/true, /*first=*/true, /*key_pending=*/false});
   return *this;
 }
@@ -69,14 +87,14 @@ JsonWriter& JsonWriter::begin_object() {
 JsonWriter& JsonWriter::end_object() {
   if (stack_.empty() || !stack_.back().is_object)
     throw std::logic_error("JsonWriter: end_object outside object");
-  os_ << '}';
+  put(os_, '}');
   stack_.pop_back();
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   before_value();
-  os_ << '[';
+  put(os_, '[');
   stack_.push_back({/*is_object=*/false, /*first=*/true, /*key_pending=*/false});
   return *this;
 }
@@ -84,7 +102,7 @@ JsonWriter& JsonWriter::begin_array() {
 JsonWriter& JsonWriter::end_array() {
   if (stack_.empty() || stack_.back().is_object)
     throw std::logic_error("JsonWriter: end_array outside array");
-  os_ << ']';
+  put(os_, ']');
   stack_.pop_back();
   return *this;
 }
@@ -94,50 +112,53 @@ JsonWriter& JsonWriter::key(std::string_view k) {
     throw std::logic_error("JsonWriter: key outside object");
   Frame& top = stack_.back();
   if (top.key_pending) throw std::logic_error("JsonWriter: duplicate key call");
-  if (!top.first) os_ << ',';
+  put(os_, top.first ? std::string_view("\"") : std::string_view(",\""));
   top.first = false;
   top.key_pending = true;
-  os_ << '"';
   write_escaped(os_, k);
-  os_ << "\":";
+  put(os_, "\":");
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  os_ << '"';
+  put(os_, '"');
   write_escaped(os_, v);
-  os_ << '"';
+  put(os_, '"');
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
   before_value();
   if (!std::isfinite(v)) {
-    os_ << "null";  // JSON has no NaN/Inf.
+    put(os_, "null");  // JSON has no NaN/Inf.
     return *this;
   }
+  // The text printf("%.12g") gives in the C locale, whatever locale is set.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  os_ << buf;
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 12);
+  put(os_, std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  os_ << v;
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  put(os_, std::string_view(buf, static_cast<std::size_t>(res.ptr - buf)));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
   before_value();
-  os_ << (v ? "true" : "false");
+  put(os_, v ? std::string_view("true") : std::string_view("false"));
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
   before_value();
-  os_ << "null";
+  put(os_, "null");
   return *this;
 }
 
@@ -308,26 +329,40 @@ class JsonParser {
     }
   }
 
+  bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  void skip_digits() {
+    while (at_digit()) ++pos_;
+  }
+
+  /// RFC 8259 number: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   JsonValue parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
+    if (!at_digit()) fail(pos_ == start ? "expected value" : "bad number");
+    if (text_[pos_++] != '0') skip_digits();
+    if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
-    if (pos_ == start) fail("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      JsonValue v;
-      v.type_ = JsonValue::Type::Number;
-      std::size_t used = 0;
-      v.num_ = std::stod(token, &used);
-      if (used != token.size()) fail("bad number");
-      return v;
-    } catch (const std::logic_error&) {
-      fail("bad number '" + token + "'");
+      if (!at_digit()) fail("bad number: no digits after '.'");
+      skip_digits();
     }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
+        ++pos_;
+      if (!at_digit()) fail("bad number: no digits in exponent");
+      skip_digits();
+    }
+    JsonValue v;
+    v.type_ = JsonValue::Type::Number;
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    const auto res = std::from_chars(first, last, v.num_);
+    if (res.ec != std::errc{} || res.ptr != last)
+      fail("bad number '" + std::string(first, last) + "'");
+    return v;
   }
 
   std::string_view text_;

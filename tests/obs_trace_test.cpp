@@ -5,6 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <locale>
 #include <map>
 #include <sstream>
 #include <string>
@@ -15,6 +22,7 @@
 #include "obs/recorder.hpp"
 #include "topo/presets.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace speedbal {
 namespace {
@@ -85,6 +93,150 @@ TEST(Json, ParserRejectsMalformed) {
   EXPECT_THROW(JsonValue::parse("{"), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("{} trailing"), std::runtime_error);
   EXPECT_THROW(JsonValue::parse("[1,]"), std::runtime_error);
+  // Numerals outside the RFC 8259 grammar, and one outside double range.
+  for (const char* bad : {"+1", "01", ".5", "1.", "-", "-01", "1e", "1e+",
+                          "[1.e5]", "0x10", "1e400"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(JsonValue::parse(bad), std::runtime_error);
+  }
+}
+
+TEST(Json, ParserAcceptsRfcNumbers) {
+  const std::vector<std::pair<std::string, double>> cases = {
+      {"0", 0.0},         {"-0", -0.0},        {"12", 12.0},
+      {"-3.25", -3.25},   {"0.5e-3", 0.5e-3},  {"1E+2", 100.0},
+      {"2e2", 200.0},
+      // The writer's rendering of the smallest subnormal parses back.
+      {"4.94065645841e-324", 4.94065645841e-324},
+  };
+  for (const auto& [text, want] : cases) {
+    SCOPED_TRACE(text);
+    const double got = JsonValue::parse(text).as_number();
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(std::signbit(got), std::signbit(want));
+  }
+}
+
+std::string written(double v) {
+  std::ostringstream os;
+  JsonWriter(os).value(v);
+  return os.str();
+}
+
+TEST(Json, DoubleMatchesPrintfG12) {
+  std::vector<double> corpus = {
+      0.0,     -0.0,    5e-324,   -5e-324, 1e-7,   1e21,   1e-5,
+      1e-4,    0.1,     1.0 / 3,  2.5,     -1.5,   100.0,  1e15,
+      1e16,    1e17,    123456789012.0,    1234567890123.0, 999999999999.5,
+      DBL_MIN, DBL_MAX, -DBL_MAX, 2.2250738585072009e-308};
+  Rng rng(1509);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    if (std::isfinite(v)) corpus.push_back(v);
+    corpus.push_back(rng.uniform(-1e6, 1e6));
+    corpus.push_back(rng.uniform() *
+                     std::pow(10.0, static_cast<double>(rng.uniform_int(-30, 30))));
+    corpus.push_back(static_cast<double>(rng.uniform_int(-100000, 100000)) / 64);
+  }
+  int mismatches = 0;
+  for (const double v : corpus) {
+    char want[32];
+    std::snprintf(want, sizeof(want), "%.12g", v);
+    const std::string got = written(v);
+    if (got != want && ++mismatches <= 10)
+      ADD_FAILURE() << "value " << std::hexfloat << v << ": wrote " << got
+                    << ", printf gives " << want;
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << corpus.size() << " values";
+  // JSON has no NaN or infinity.
+  EXPECT_EQ(written(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(written(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(written(-std::numeric_limits<double>::infinity()), "null");
+}
+
+TEST(Json, IntegerExtremes) {
+  std::ostringstream os;
+  JsonWriter(os)
+      .begin_array()
+      .value(std::numeric_limits<std::int64_t>::min())
+      .value(std::numeric_limits<std::int64_t>::max())
+      .value(0)
+      .value(-1)
+      .value(std::size_t{42})
+      .end_array();
+  EXPECT_EQ(os.str(),
+            "[-9223372036854775808,9223372036854775807,0,-1,42]");
+  EXPECT_EQ(JsonValue::parse(os.str()).size(), 5u);
+}
+
+// Groups thousands with ',' and uses ',' as the decimal point, so any
+// number formatted through the stream's locale would come out as bad JSON.
+struct GroupingPunct : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  char do_decimal_point() const override { return ','; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(Json, WriterIgnoresStreamLocale) {
+  std::ostringstream os;
+  os.imbue(std::locale(std::locale::classic(), new GroupingPunct));
+  JsonWriter(os)
+      .begin_object()
+      .kv("n", std::int64_t{1000000})
+      .kv("i", 1234567)
+      .kv("x", 1234567.5)
+      .end_object();
+  EXPECT_EQ(os.str(), R"({"n":1000000,"i":1234567,"x":1234567.5})");
+  const auto doc = JsonValue::parse(os.str());
+  EXPECT_EQ(doc.at("n").as_int(), 1000000);
+  EXPECT_EQ(doc.at("x").as_number(), 1234567.5);
+}
+
+// Accepts `capacity` bytes, then refuses every further write.
+class CappedBuf : public std::streambuf {
+ public:
+  explicit CappedBuf(std::size_t capacity) : data_(capacity) {
+    setp(data_.data(), data_.data() + data_.size());
+  }
+  std::string str() const { return std::string(pbase(), pptr()); }
+
+ private:
+  std::vector<char> data_;
+};
+
+TEST(Json, RawWritesInterleave) {
+  std::ostringstream os;
+  JsonWriter(os).begin_array().value(1).value("a").end_array();
+  os << "\n";
+  JsonWriter(os).begin_object().kv("k", 2.5).end_object();
+  os << '\n';
+  EXPECT_EQ(os.str(), "[1,\"a\"]\n{\"k\":2.5}\n");
+
+  CappedBuf roomy(64);
+  std::ostream fits(&roomy);
+  JsonWriter(fits).begin_object().kv("k", 1).end_object();
+  EXPECT_TRUE(fits.good());
+  EXPECT_EQ(roomy.str(), R"({"k":1})");
+  CappedBuf one_short(6);  // only the closing brace is refused
+  std::ostream clipped(&one_short);
+  JsonWriter(clipped).begin_object().kv("k", 1).end_object();
+  EXPECT_TRUE(clipped.bad());
+  EXPECT_EQ(one_short.str(), R"({"k":1)");
+  CappedBuf digits(3);  // a bare number is one block write
+  std::ostream number(&digits);
+  JsonWriter(number).value(123456);
+  EXPECT_TRUE(number.bad());
+
+  // A short write anywhere (punctuation, key, string, number) sets badbit.
+  for (std::size_t cap : {0, 1, 3, 6, 9, 14}) {
+    SCOPED_TRACE(cap);
+    CappedBuf tight(cap);
+    std::ostream out(&tight);
+    JsonWriter(out).begin_object().kv("key", "text").kv("n", 123456).end_object();
+    EXPECT_TRUE(out.bad());
+  }
 }
 
 TEST(TraceCollector, DisabledEmitsNothing) {
