@@ -34,11 +34,18 @@ echo "== cluster-smoke: multi-node episode, rebalance log query =="
 # cluster-wide request-conservation invariant plus the jobs-identity oracle.
 # The SPEED-only leg replays the pool-inject placement that was once read as
 # a speed-balancer pull (episode 41, seed 546).
+# The episode runs twice, its nodes advanced on one thread and then at the
+# default width; the two reports must be byte-identical.
 cluster_report="$repo/build/cluster_smoke_report.json"
-"$repo/build/src/clustersim" --nodes=4 --dispatch=rr --policy=SPEED \
-  --duration-s=3 --warmup-s=0.3 --seed=42 --rebalance-epoch-ms=100 \
-  --perturb="at=500ms dvfs core=0 scale=0.25; at=500ms dvfs core=1 scale=0.25; at=500ms dvfs core=2 scale=0.25; at=500ms dvfs core=3 scale=0.25" \
-  --perturb-node=0 --report-json="$cluster_report" >/dev/null
+cluster_smoke() {
+  "$repo/build/src/clustersim" --nodes=4 --dispatch=rr --policy=SPEED \
+    --duration-s=3 --warmup-s=0.3 --seed=42 --rebalance-epoch-ms=100 \
+    --perturb="at=500ms dvfs core=0 scale=0.25; at=500ms dvfs core=1 scale=0.25; at=500ms dvfs core=2 scale=0.25; at=500ms dvfs core=3 scale=0.25" \
+    --perturb-node=0 --report-json="$1" >/dev/null
+}
+SPEEDBAL_JOBS=1 cluster_smoke "$repo/build/cluster_smoke_report_jobs1.json"
+cluster_smoke "$cluster_report"
+cmp "$repo/build/cluster_smoke_report_jobs1.json" "$cluster_report"
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances >/dev/null
 "$repo/build/src/obsquery" --report="$cluster_report" --rebalances --pool=0 >/dev/null
 "$repo/build/src/fuzzsim" --episodes=25 --mode=cluster --seed=707

@@ -90,6 +90,10 @@ std::string check_jobs_identity(const FuzzScenario& sc,
     const cluster::ClusterConfig cfg = cluster_experiment(sc);
     serial = fingerprint_cluster(cluster::run_cluster_repeats(cfg, 3, 1));
     parallel = fingerprint_cluster(cluster::run_cluster_repeats(cfg, 3, 4));
+    // Within one replica the node simulators advance on one thread or on
+    // four between syncs; the fan-out must not show in the result.
+    serial += fingerprint_cluster(cluster::run_cluster(cfg, 1));
+    parallel += fingerprint_cluster(cluster::run_cluster(cfg, 4));
   } else {
     const serve::ServeConfig cfg = serve_experiment(sc);
     serial = fingerprint_serve(serve::run_serve_repeats(cfg, 3, 1));

@@ -17,8 +17,10 @@ inline constexpr double kAnalyticTolerance = 0.12;
 /// Differential oracle: the scenario replayed with --jobs=1 and --jobs=4
 /// must be byte-identical (SPMD: per-run results over 3 repeats; serve:
 /// merged stats, histogram percentiles, and migration totals over 3
-/// replicas). Appends "jobs-identity" violations naming the first
-/// divergence. Returns the serialized jobs=1 fingerprint.
+/// replicas; cluster: the same over 3 replicas, plus one replica whose
+/// nodes advance on one thread against four). Appends "jobs-identity"
+/// violations naming the first divergence. Returns the serialized jobs=1
+/// fingerprint.
 std::string check_jobs_identity(const FuzzScenario& sc,
                                 std::vector<Violation>& out);
 

@@ -1,7 +1,9 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <utility>
 
 #include "perturb/sim_driver.hpp"
 #include "util/parallel.hpp"
@@ -101,21 +103,16 @@ serve::ServeRuntime* ClusterSim::open_pool_on(int pool, int node) {
   Pool& p = pools_[static_cast<std::size_t>(pool)];
   p.node = node;
   p.runtime = raw;
-  p.incarnations.push_back({std::move(rt), node});
+  home.homed.push_back(std::move(rt));
   return raw;
-}
-
-void ClusterSim::advance_nodes(SimTime t) {
-  for (Node& node : nodes_) node.sim->run_until(t);
 }
 
 std::int64_t ClusterSim::node_in_flight(int node) const {
   // All incarnations homed on `node`, draining ones included: their
   // in-service tails still occupy the node.
   std::int64_t total = 0;
-  for (const Pool& p : pools_)
-    for (const auto& inc : p.incarnations)
-      if (inc.node == node && !inc.rt->retired()) total += inc.rt->in_flight();
+  for (const auto& rt : nodes_[static_cast<std::size_t>(node)].homed)
+    if (!rt->retired()) total += rt->in_flight();
   return total;
 }
 
@@ -149,54 +146,120 @@ void ClusterSim::arrive(SimTime t) {
   ++stats_.total_generated;
   if (r.recorded) ++stats_.offered;
 
-  static thread_local std::vector<PoolLoad> loads;
-  loads.clear();
-  loads.reserve(pools_.size());
-  for (const Pool& p : pools_) loads.push_back({p.assigned});
-  const int pool = pick_pool(config_.dispatch, config_.jsq_d, loads,
+  if (config_.dispatch != ClusterDispatch::RoundRobin) {
+    // Load-aware dispatch reads Pool::assigned, which completions move:
+    // bring the nodes to t first. One delivery or so per arrival, so inline.
+    sync(t, /*fan_out=*/false);
+    for (std::size_t p = 0; p < pools_.size(); ++p)
+      loads_[p].assigned = pools_[p].assigned;
+  }
+  const int pool = pick_pool(config_.dispatch, config_.jsq_d, loads_,
                              rr_cursor_, dispatch_rng_);
   ++pools_[static_cast<std::size_t>(pool)].assigned;
-  ++in_transit_;
-  cq_.schedule(t + config_.hop, [this, pool, r] { deliver(pool, r); });
+  in_transit_.push_back({t + config_.hop, pool, r});
+  cq_.schedule(t + config_.hop, [this] { deliver(); });
 
   const SimTime next = arrivals_.next(t);
   if (next >= config_.duration) return;
   cq_.schedule(next, [this, next] { arrive(next); });
 }
 
-void ClusterSim::deliver(int pool, Request r) {
-  --in_transit_;
-  Pool& p = pools_[static_cast<std::size_t>(pool)];
-  const int node = p.node;
+void ClusterSim::deliver() {
+  // The pool's home changes only inside epoch(), itself a sync point, so
+  // the home read now is the node the request lands on; the node injects it
+  // when it next syncs.
+  const Delivery& d = in_transit_.front();
+  const int home = pools_[static_cast<std::size_t>(d.pool)].node;
+  nodes_[static_cast<std::size_t>(home)].inbox.push_back(d);
+  in_transit_.pop_front();
+}
+
+void ClusterSim::sync(SimTime t, bool fan_out) {
+  const int nodes = num_nodes();
+  if (!fan_out || node_workers_ == nullptr) {
+    for (int n = 0; n < nodes; ++n) advance_node(n, t);
+  } else {
+    // Node n always runs on thread n % width (thread 0 is this one), so
+    // each node's allocations stay with one thread for the whole run.
+    const int width = node_workers_->size() + 1;
+    std::vector<std::exception_ptr> errors(static_cast<std::size_t>(width));
+    const auto group = [&](int k) {
+      try {
+        for (int n = k; n < nodes; n += width) advance_node(n, t);
+      } catch (...) {
+        errors[static_cast<std::size_t>(k)] = std::current_exception();
+      }
+    };
+    for (int k = 1; k < width; ++k)
+      node_workers_->submit_to(k - 1, [&group, k] { group(k); });
+    group(0);
+    node_workers_->wait_idle();
+    for (const std::exception_ptr& e : errors)
+      if (e) std::rethrow_exception(e);
+  }
+  fold_tallies();
+}
+
+void ClusterSim::advance_node(int node, SimTime t) {
+  // Every node event at or before a delivery's time runs before its inject,
+  // exactly as if the node had been advanced before each cluster event.
+  Node& nd = nodes_[static_cast<std::size_t>(node)];
+  for (const Delivery& d : nd.inbox) {
+    nd.sim->run_until(d.t);
+    admit(node, d);
+  }
+  nd.inbox.clear();
+  nd.sim->run_until(t);
+}
+
+void ClusterSim::admit(int node, const Delivery& d) {
+  Tally& tally = tallies_[static_cast<std::size_t>(node)];
   const bool over_admission =
       config_.node_admission_cap > 0 &&
       node_in_flight(node) >= config_.node_admission_cap;
-  const bool accepted = !over_admission && p.runtime->inject(r);
-  if (!accepted) {
-    --p.assigned;
-    ++stats_.total_dropped;
-    if (r.recorded) ++stats_.dropped;
+  if (!over_admission &&
+      pools_[static_cast<std::size_t>(d.pool)].runtime->inject(d.r)) {
+    if (d.r.recorded) ++tally.admitted;
     return;
   }
-  if (r.recorded) ++stats_.admitted;
+  tally.released.push_back(d.pool);
+  ++tally.total_dropped;
+  if (d.r.recorded) ++tally.dropped;
+}
+
+void ClusterSim::fold_tallies() {
+  for (std::size_t n = 0; n < tallies_.size(); ++n) {
+    Tally& tally = tallies_[n];
+    for (const int p : tally.released)
+      --pools_[static_cast<std::size_t>(p)].assigned;
+    tally.released.clear();
+    stats_.admitted += std::exchange(tally.admitted, 0);
+    stats_.dropped += std::exchange(tally.dropped, 0);
+    stats_.total_dropped += std::exchange(tally.total_dropped, 0);
+    stats_.total_completed += std::exchange(tally.total_completed, 0);
+    const std::int64_t completed = std::exchange(tally.completed, 0);
+    stats_.completed += completed;
+    completed_by_node_[n] += completed;
+  }
 }
 
 void ClusterSim::on_pool_complete(int pool, serve::ServeRuntime* incarnation,
                                   int node, const Request& r) {
-  Pool& p = pools_[static_cast<std::size_t>(pool)];
-  --p.assigned;
-  ++stats_.total_completed;
+  // Runs on the node's thread: only the node's own tally is written.
+  Tally& tally = tallies_[static_cast<std::size_t>(node)];
+  tally.released.push_back(pool);
+  ++tally.total_completed;
   const SimTime done = incarnation->simulator().now() + config_.hop;
   if (r.recorded) {
-    ++stats_.completed;
-    stats_.latency.record((done - r.arrival) * 1000);
-    stats_.queue_wait.record((r.started - r.arrival) * 1000);
-    ++completed_by_node_[static_cast<std::size_t>(node)];
+    ++tally.completed;
+    tally.latency.record((done - r.arrival) * 1000);
+    tally.queue_wait.record((r.started - r.arrival) * 1000);
   }
   // A draining incarnation retires the moment its tail empties; deferred to
   // a fresh event because retire() finishes the very worker that is
   // executing this completion path.
-  if (incarnation != p.runtime && incarnation->in_flight() == 0 &&
+  if (incarnation != pools_[static_cast<std::size_t>(pool)].runtime &&
+      incarnation->in_flight() == 0 &&
       !incarnation->retired()) {
     Simulator& sim = incarnation->simulator();
     sim.schedule_at(sim.now(), [incarnation] {
@@ -206,10 +269,9 @@ void ClusterSim::on_pool_complete(int pool, serve::ServeRuntime* incarnation,
   }
 }
 
-void ClusterSim::rebalance_once() { epoch(); }
-
 void ClusterSim::epoch() {
   const SimTime t = cq_.now();
+  sync(t, /*fan_out=*/true);
   ++epoch_index_;
 
   // Loads are normalized by each machine's *current* effective capacity —
@@ -304,9 +366,8 @@ void ClusterSim::epoch() {
         // Back out the original admission; delivery at the destination
         // re-admits (or drops), so each request nets to one count.
         if (r.recorded) --stats_.admitted;
-        ++in_transit_;
-        cq_.schedule(t + config_.hop,
-                     [this, candidate, r] { deliver(candidate, r); });
+        in_transit_.push_back({t + config_.hop, candidate, r});
+        cq_.schedule(t + config_.hop, [this] { deliver(); });
       }
       if (old_rt->in_flight() == 0) {
         Simulator& sim = old_rt->simulator();
@@ -326,7 +387,15 @@ void ClusterSim::epoch() {
     cq_.schedule(next, [this] { epoch(); });
 }
 
-ClusterResult ClusterSim::run() {
+ClusterResult ClusterSim::run(int node_jobs) {
+  // Built here, not in the constructor: setup cost stays the node stacks'.
+  const int auto_jobs = in_pool_worker() ? 1 : default_jobs();
+  const int width =
+      std::min(node_jobs > 0 ? node_jobs : auto_jobs, num_nodes());
+  if (width > 1) node_workers_ = std::make_unique<ThreadPool>(width - 1);
+  tallies_.resize(nodes_.size());
+  loads_.assign(pools_.size(), PoolLoad{});
+
   const SimTime first = arrivals_.next(0);
   if (first < config_.duration)
     cq_.schedule(first, [this, first] { arrive(first); });
@@ -334,20 +403,24 @@ ClusterResult ClusterSim::run() {
       config_.rebalance.epoch < config_.duration)
     cq_.schedule(config_.rebalance.epoch, [this] { epoch(); });
 
-  while (!cq_.empty() && cq_.next_time() <= config_.duration) {
-    advance_nodes(cq_.next_time());
-    cq_.run_next();
-  }
-  advance_nodes(config_.duration);
-  for (Pool& p : pools_)
-    for (auto& inc : p.incarnations)
-      if (!inc.rt->retired()) inc.rt->close();
+  while (!cq_.empty() && cq_.next_time() <= config_.duration) cq_.run_next();
+  sync(config_.duration, /*fan_out=*/true);
+  node_workers_.reset();
 
-  stats_.in_transit_end = in_transit_;
+  stats_.in_transit_end = static_cast<std::int64_t>(in_transit_.size());
   stats_.in_flight_end = 0;
-  for (const Pool& p : pools_)
-    for (const auto& inc : p.incarnations)
-      if (!inc.rt->retired()) stats_.in_flight_end += inc.rt->in_flight();
+  for (Node& node : nodes_)
+    for (const auto& rt : node.homed) {
+      if (rt->retired()) continue;
+      rt->close();
+      stats_.in_flight_end += rt->in_flight();
+    }
+  // Histograms merge element-wise with an exact sum, so node order gives
+  // the same result as recording in completion order.
+  for (const Tally& tally : tallies_) {
+    stats_.latency.merge(tally.latency);
+    stats_.queue_wait.merge(tally.queue_wait);
+  }
 
   ClusterResult result;
   result.stats = stats_;
@@ -369,9 +442,9 @@ ClusterResult ClusterSim::run() {
   return result;
 }
 
-ClusterResult run_cluster(const ClusterConfig& config) {
+ClusterResult run_cluster(const ClusterConfig& config, int node_jobs) {
   ClusterSim sim(config);
-  return sim.run();
+  return sim.run(node_jobs);
 }
 
 void export_result_to_recorder(const ClusterResult& result,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -13,6 +14,7 @@
 #include "serve/policy_stack.hpp"
 #include "serve/scenarios.hpp"
 #include "sim/event_queue.hpp"
+#include "util/parallel.hpp"
 #include "workload/arrivals.hpp"
 
 namespace speedbal::cluster {
@@ -134,18 +136,30 @@ struct ClusterResult {
 };
 
 /// The cluster simulation driver. One EventQueue orders cluster-level
-/// events (arrivals, hop deliveries, rebalance epochs); before each event
-/// at time t every node Simulator is advanced to t, so node-local activity
-/// always precedes cluster activity at the same instant and the whole run
-/// is deterministic under the seed. Node simulators never enqueue cluster
-/// events themselves — completions record immediately (the response hop is
-/// a constant) — which is what makes the conservative advance sound.
+/// events (arrivals, hop deliveries, rebalance epochs). Node simulators are
+/// advanced conservatively: a delivery only appends to its pool's home
+/// node's inbox, and nodes run forward only at sync points, where cluster
+/// code reads node state — every rebalance epoch, every arrival under a
+/// load-aware dispatch (it reads Pool::assigned, which completions move) and
+/// the end of the run. A sync to T has each node replay its inbox in order
+/// (run to the delivery's time, then inject), then run to T, so node-local
+/// activity still precedes cluster activity at the same instant and the
+/// whole run is deterministic under the seed. Between syncs the nodes never
+/// touch each other: node simulators never enqueue cluster events (the
+/// response hop is a constant, so completions record at once) and their
+/// cluster-side effects go into per-node tallies folded in node order after
+/// each sync. Epoch and end-of-run syncs therefore fan the nodes out over
+/// worker threads, each node on a fixed thread for the whole run; results
+/// are byte-identical at any width.
 class ClusterSim {
  public:
   explicit ClusterSim(const ClusterConfig& config);
   ~ClusterSim();
 
-  ClusterResult run();
+  /// `node_jobs` threads advance the nodes at epoch and end-of-run syncs
+  /// (clamped to the node count); 0 picks min(default_jobs(), nodes), or 1
+  /// when called on a pool worker (e.g. a run_cluster_repeats replica).
+  ClusterResult run(int node_jobs = 0);
 
   // Introspection for tests and invariant checks.
   int pool_node(int pool) const { return pools_[static_cast<std::size_t>(pool)].node; }
@@ -156,35 +170,56 @@ class ClusterSim {
   const Simulator& node_sim(int n) const {
     return *nodes_[static_cast<std::size_t>(n)].sim;
   }
-  const ClusterStats& stats() const { return stats_; }
   /// Live + draining incarnations' in-flight totals summed per node.
   std::int64_t node_in_flight(int node) const;
-  /// Force one rebalance pass now (tests drive epochs directly).
-  void rebalance_once();
 
  private:
-  struct Incarnation {
-    std::unique_ptr<serve::ServeRuntime> rt;
-    int node = -1;
-  };
   struct Pool {
     int node = -1;
     std::int64_t assigned = 0;  ///< Dispatch-level load (see PoolLoad).
     serve::ServeRuntime* runtime = nullptr;  ///< Live incarnation.
-    /// Every incarnation ever created, kept alive until the run ends so
-    /// draining pools finish their in-service tails safely.
-    std::vector<Incarnation> incarnations;
+  };
+  /// A request on the wire to `pool`, due at its home node at `t`.
+  struct Delivery {
+    SimTime t = 0;
+    int pool = -1;
+    Request r;
+  };
+  /// One node's cluster-side effects since the last fold. Only the node's
+  /// own thread writes it during a sync: a pool's live and draining
+  /// incarnations can sit on two nodes, so no node may write pools_ or
+  /// stats_ directly.
+  struct alignas(64) Tally {
+    std::vector<int> released;  ///< One entry per completion or drop.
+    std::int64_t admitted = 0;
+    std::int64_t dropped = 0;
+    std::int64_t total_dropped = 0;
+    std::int64_t completed = 0;
+    std::int64_t total_completed = 0;
+    /// Merged into stats_ once, at the end of the run.
+    LatencyHistogram latency;
+    LatencyHistogram queue_wait;
   };
   struct Node {
     std::unique_ptr<Simulator> sim;
     std::unique_ptr<serve::PolicyStack> stack;
     std::unique_ptr<perturb::SimPerturbDriver> perturber;
     std::vector<CoreId> cores;
+    /// Every pool incarnation ever opened here, kept alive until the run
+    /// ends so draining pools finish their in-service tails safely.
+    std::vector<std::unique_ptr<serve::ServeRuntime>> homed;
+    /// Deliveries since the last sync, in delivery order.
+    std::vector<Delivery> inbox;
   };
 
-  void advance_nodes(SimTime t);
   void arrive(SimTime t);
-  void deliver(int pool, Request r);
+  void deliver();
+  /// Bring every node to `t` (inbox replayed first), on the node threads
+  /// when `fan_out`, then fold the tallies.
+  void sync(SimTime t, bool fan_out);
+  void advance_node(int node, SimTime t);
+  void admit(int node, const Delivery& d);
+  void fold_tallies();
   void on_pool_complete(int pool, serve::ServeRuntime* incarnation, int node,
                         const Request& r);
   serve::ServeRuntime* open_pool_on(int pool, int node);
@@ -198,12 +233,20 @@ class ClusterSim {
   EventQueue cq_;
   std::vector<Node> nodes_;
   std::vector<Pool> pools_;
+  /// Requests on the wire, FIFO: the hop is constant, so deliveries fire in
+  /// the order they were sent.
+  std::deque<Delivery> in_transit_;
+  /// Per-node effects and the node threads; built by run().
+  std::vector<Tally> tallies_;
+  std::unique_ptr<ThreadPool> node_workers_;
+  /// Dispatch input, refreshed only for load-aware dispatch (round-robin
+  /// reads its size alone).
+  std::vector<PoolLoad> loads_;
   workload::ArrivalProcess arrivals_;
   workload::ServiceTimeDist service_;
   Rng dispatch_rng_;
   std::uint64_t rr_cursor_ = 0;
   std::int64_t next_id_ = 0;
-  std::int64_t in_transit_ = 0;
   std::int64_t epoch_index_ = 0;
   std::int64_t last_migration_epoch_ = -1000000;
   std::int64_t pool_migrations_ = 0;
@@ -213,8 +256,8 @@ class ClusterSim {
   obs::RunRecorder* recorder_ = nullptr;
 };
 
-/// Run the cluster scenario once.
-ClusterResult run_cluster(const ClusterConfig& config);
+/// Run the cluster scenario once; `node_jobs` as in ClusterSim::run.
+ClusterResult run_cluster(const ClusterConfig& config, int node_jobs = 0);
 
 /// Replica semantics of run_serve_repeats: salted seeds, merge in replica
 /// order, only replica 0 records — byte-identical for any `jobs`.

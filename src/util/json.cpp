@@ -343,6 +343,7 @@ class JsonParser {
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     if (!at_digit()) fail(pos_ == start ? "expected value" : "bad number");
     if (text_[pos_++] != '0') skip_digits();
+    const std::size_t int_end = pos_;
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       if (!at_digit()) fail("bad number: no digits after '.'");
@@ -362,6 +363,12 @@ class JsonParser {
     const auto res = std::from_chars(first, last, v.num_);
     if (res.ec != std::errc{} || res.ptr != last)
       fail("bad number '" + std::string(first, last) + "'");
+    // An integer token also parses exactly, so as_int() never goes through
+    // the double; out of int64 range it stays unset and as_int() throws.
+    if (int_end == pos_) {
+      v.integral_ = true;
+      v.int_exact_ = std::from_chars(first, last, v.int_).ec == std::errc{};
+    }
     return v;
   }
 
@@ -384,7 +391,12 @@ double JsonValue::as_number() const {
 }
 
 std::int64_t JsonValue::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  const double d = as_number();
+  if (int_exact_) return int_;
+  // A fraction or exponent token truncates toward zero when it fits.
+  if (!integral_ && d >= -0x1p63 && d < 0x1p63)
+    return static_cast<std::int64_t>(d);
+  throw std::runtime_error("JSON: number out of int64 range");
 }
 
 const std::string& JsonValue::as_string() const {

@@ -74,6 +74,8 @@ class JsonValue {
 
   bool as_bool() const;
   double as_number() const;
+  /// Integer tokens convert exactly; fraction/exponent tokens truncate.
+  /// Throws when the value does not fit int64.
   std::int64_t as_int() const;
   const std::string& as_string() const;
 
@@ -91,6 +93,9 @@ class JsonValue {
   Type type_ = Type::Null;
   bool bool_ = false;
   double num_ = 0.0;
+  std::int64_t int_ = 0;     ///< Exact value of an integer token...
+  bool int_exact_ = false;   ///< ...when it fits int64.
+  bool integral_ = false;    ///< Token had no fraction or exponent.
   std::string str_;
   std::vector<JsonValue> items_;
   std::map<std::string, JsonValue> members_;

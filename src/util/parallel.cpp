@@ -22,10 +22,18 @@ int resolve_jobs(int requested) {
   return std::min(requested, 256);
 }
 
+namespace {
+thread_local bool t_pool_worker = false;
+}  // namespace
+
+bool in_pool_worker() { return t_pool_worker; }
+
 ThreadPool::ThreadPool(int threads) {
-  const int n = std::max(threads, 1);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
+  const auto n = static_cast<std::size_t>(std::max(threads, 1));
+  own_.resize(n);
+  workers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    workers_.emplace_back([this, i] { worker_loop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -41,28 +49,45 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
+    ++queued_;
   }
   work_cv_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+void ThreadPool::submit_to(int worker, std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    own_.at(static_cast<std::size_t>(worker)).push_back(std::move(task));
+    ++queued_;
+  }
+  // The workers share one condition variable; wake them all so the named
+  // one is among them.
+  work_cv_.notify_all();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::wait_idle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return queued_ == 0 && active_ == 0; });
+}
+
+void ThreadPool::worker_loop(std::size_t self) {
+  t_pool_worker = true;
+  auto& own = own_[self];
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
-    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stop_ set and nothing left to drain.
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
+    work_cv_.wait(lock,
+                  [&] { return stop_ || !own.empty() || !queue_.empty(); });
+    auto& from = !own.empty() ? own : queue_;
+    if (from.empty()) return;  // stop_ set and nothing left to drain.
+    std::function<void()> task = std::move(from.front());
+    from.pop_front();
+    --queued_;
     ++active_;
     lock.unlock();
     task();
     lock.lock();
     --active_;
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+    if (queued_ == 0 && active_ == 0) idle_cv_.notify_all();
   }
 }
 

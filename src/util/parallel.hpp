@@ -25,6 +25,11 @@ inline std::uint64_t replica_seed(std::uint64_t base, int rep) {
   return base * 1000003ULL + static_cast<std::uint64_t>(rep) * 7919ULL + 1;
 }
 
+/// True on a ThreadPool worker thread (e.g. inside a parallel_for body).
+/// Code that could fan out itself runs inline there instead of nesting
+/// pools.
+bool in_pool_worker();
+
 /// Bounded thread pool: a fixed set of workers draining a task queue.
 /// Tasks must not throw (wrap and capture; see parallel_for).
 class ThreadPool {
@@ -36,15 +41,21 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   void submit(std::function<void()> task);
-  /// Block until the queue is empty and every worker is idle.
+  /// Queue a task that only worker `worker` (in [0, size())) may run, so a
+  /// caller can pin the same data to the same thread across rounds.
+  void submit_to(int worker, std::function<void()> task);
+  /// Block until every queue is empty and every worker is idle.
   void wait_idle();
   int size() const { return static_cast<int>(workers_.size()); }
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t self);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
+  /// Per-worker queues for submit_to; a worker drains its own first.
+  std::vector<std::deque<std::function<void()>>> own_;
+  std::size_t queued_ = 0;  ///< Tasks waiting in queue_ and every own_.
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< Signals workers: work or stop.
   std::condition_variable idle_cv_;   ///< Signals wait_idle: drained.

@@ -110,7 +110,7 @@ void LatencyHistogram::record(std::int64_t ns) {
     max_ = std::max(max_, ns);
   }
   ++count_;
-  sum_ += static_cast<double>(ns);
+  sum_ += ns;
   ++buckets_[static_cast<std::size_t>(bucket_index(ns))];
 }
 
@@ -131,7 +131,8 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
 }
 
 double LatencyHistogram::mean() const {
-  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                : 0.0;
 }
 
 double LatencyHistogram::percentile(double p) const {

@@ -97,7 +97,9 @@ class LatencyHistogram {
   std::int64_t count_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;
-  double sum_ = 0.0;
+  /// Exact integer sum: mean() is independent of record and merge order
+  /// (a double sum rounds once partial sums pass 2^53 ns).
+  __extension__ __int128 sum_ = 0;
 };
 
 }  // namespace speedbal

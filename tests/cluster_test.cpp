@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -343,6 +346,143 @@ TEST(ClusterRun, RebalanceLogRecordsEveryEpochWithOutcome) {
     if (r.outcome == obs::RebalanceOutcome::Migrated) ++migrated;
   }
   EXPECT_EQ(migrated, res.pool_migrations);
+}
+
+// --- Results pinned across the node-advancement scheme ----------------------
+
+// Every count, the exact latency summary and the per-node completions of one
+// run, floats as hex so any drift shows.
+std::string fingerprint(const ClusterResult& res) {
+  const ClusterStats& s = res.stats;
+  std::ostringstream os;
+  os << std::hexfloat << "offered=" << s.offered << " admitted=" << s.admitted
+     << " dropped=" << s.dropped << " completed=" << s.completed
+     << " generated=" << s.total_generated
+     << " total_completed=" << s.total_completed
+     << " total_dropped=" << s.total_dropped
+     << " in_transit=" << s.in_transit_end << " in_flight=" << s.in_flight_end
+     << " migrations=" << res.pool_migrations
+     << " imbalance=" << res.peak_imbalance << " goodput=" << res.goodput_rps
+     << " lat_min=" << s.latency.min() << " lat_max=" << s.latency.max()
+     << " lat_mean=" << s.latency.mean();
+  for (const auto& [label, p] : {std::pair{"p50", 50.0}, std::pair{"p99", 99.0},
+                                  std::pair{"p99.9", 99.9}})
+    os << " lat_" << label << "=" << s.latency.percentile(p) << " wait_"
+       << label << "=" << s.queue_wait.percentile(p);
+  os << " by_node=";
+  for (const std::int64_t n : res.completed_by_node) os << n << ",";
+  return os.str();
+}
+
+// 6 nodes under SPEED with the rebalancer on and node 0 throttled to a
+// quarter at 300 ms, so each case migrates at least one pool.
+ClusterConfig pinned_case(ClusterDispatch dispatch, int admission_cap,
+                          SimTime hop) {
+  ClusterConfig config = base_config(6);
+  config.policy = Policy::Speed;
+  config.dispatch = dispatch;
+  config.node_admission_cap = admission_cap;
+  config.hop = hop;
+  config.arrival.rate_rps =
+      6.0 * serve::rate_for_utilization(config.topo, 4, 0.85, 5000.0);
+  config.rebalance.epoch = msec(50);
+  config.rebalance.threshold = 0.3;
+  config.seed = 11;
+  for (int c = 0; c < 4; ++c) {
+    perturb::PerturbEvent ev;
+    ev.at = msec(300);
+    ev.kind = perturb::PerturbKind::Dvfs;
+    ev.core = c;
+    ev.scale = 0.25;
+    config.node_perturb[0].add(ev);
+  }
+  return config;
+}
+
+struct PinnedRun {
+  const char* name;
+  ClusterConfig config;
+  const char* expected;
+};
+
+// The expected strings were produced by the eager scheme that advanced every
+// node before each cluster event; the sync-point scheme must reproduce them
+// at every node width.
+TEST(ClusterRun, ResultsPinnedAtEveryNodeWidth) {
+  const PinnedRun runs[] = {
+      {"rr", pinned_case(ClusterDispatch::RoundRobin, 0, usec(200)),
+       "offered=7427 admitted=7187 dropped=239 completed=6574 generated=8260 "
+       "total_completed=7407 total_dropped=239 in_transit=1 in_flight=613 "
+       "migrations=7 imbalance=0x1.d1745d1745d18p+1 "
+       "goodput=0x1.c8871c71c71c7p+11 lat_min=401000 lat_max=1223247000 "
+       "lat_mean=0x1.79f7dadaed8abp+26 lat_p50=0x1.16e50d79435e5p+26 "
+       "wait_p50=0x1.ffb3333333333p+25 lat_p99=0x1.404efe8982312p+29 "
+       "wait_p99=0x1.3b451eb851ebp+29 lat_p99.9=0x1.c5b53f7ced94p+29 "
+       "wait_p99.9=0x1.be78d4fdf3b8p+29 by_node=65,1280,1304,1315,1337,1273,"},
+      {"rr-cap", pinned_case(ClusterDispatch::RoundRobin, 6, usec(200)),
+       "offered=7427 admitted=5707 dropped=1719 completed=5684 "
+       "generated=8260 total_completed=6460 total_dropped=1776 in_transit=1 "
+       "in_flight=23 migrations=2 imbalance=0x1.2e8ba2e8ba2eap+0 "
+       "goodput=0x1.8ab8e38e38e39p+11 lat_min=401000 lat_max=170705000 "
+       "lat_mean=0x1.a6b5fe8c29134p+22 lat_p50=0x1.28beea4e1a08bp+22 "
+       "wait_p50=0x1.86ap+17 lat_p99=0x1.d4ae147ae148p+24 "
+       "wait_p99=0x1.d5126e978d5p+23 lat_p99.9=0x1.14p+26 "
+       "wait_p99.9=0x1.14p+25 by_node=62,1144,1129,1121,1103,1125,"},
+      {"least-loaded", pinned_case(ClusterDispatch::LeastLoaded, 0, usec(200)),
+       "offered=7427 admitted=7426 dropped=0 completed=7166 generated=8260 "
+       "total_completed=7999 total_dropped=0 in_transit=1 in_flight=260 "
+       "migrations=1 imbalance=0x1.6666666666666p+0 "
+       "goodput=0x1.f1a38e38e38e3p+11 lat_min=405000 lat_max=204969000 "
+       "lat_mean=0x1.d148baeac7a09p+24 lat_p50=0x1.912aaaaaaaaabp+24 "
+       "wait_p50=0x1.3690b21642c86p+24 lat_p99=0x1.955c28f5c29p+26 "
+       "wait_p99=0x1.6dea0ea0ea0eep+26 lat_p99.9=0x1.0fab851eb854p+27 "
+       "wait_p99.9=0x1.e7570a3d70a8p+26 by_node=75,1455,1392,1456,1432,1356,"},
+      {"least-loaded-cap",
+       pinned_case(ClusterDispatch::LeastLoaded, 6, usec(200)),
+       "offered=7427 admitted=5274 dropped=2152 completed=5255 "
+       "generated=8260 total_completed=6076 total_dropped=2164 in_transit=1 "
+       "in_flight=19 migrations=2 imbalance=0x1.22e8ba2e8ba2fp+1 "
+       "goodput=0x1.6cee38e38e38ep+11 lat_min=401000 lat_max=117215000 "
+       "lat_mean=0x1.73fa0452d0fd5p+22 lat_p50=0x1.fbbbbbbbbbbbcp+21 "
+       "wait_p50=0x1.86ap+17 lat_p99=0x1.8e8f5c28f5c2bp+24 "
+       "wait_p99=0x1.87fa4a81ca599p+17 lat_p99.9=0x1.1afbe76c8b48p+26 "
+       "wait_p99.9=0x1.b4p+22 by_node=78,1153,1070,1140,925,889,"},
+      {"jsq", pinned_case(ClusterDispatch::JsqD, 0, usec(200)),
+       "offered=7427 admitted=7426 dropped=0 completed=7170 generated=8260 "
+       "total_completed=8003 total_dropped=0 in_transit=1 in_flight=256 "
+       "migrations=2 imbalance=0x1.b333333333334p+0 "
+       "goodput=0x1.f1eaaaaaaaaaap+11 lat_min=405000 lat_max=187072000 "
+       "lat_mean=0x1.f300b6718a2dp+24 lat_p50=0x1.a87e3f1f8fc7ep+24 "
+       "wait_p50=0x1.5196cb65b2d97p+24 lat_p99=0x1.b3d4c3b2a19p+26 "
+       "wait_p99=0x1.86a5e353f7ce6p+26 lat_p99.9=0x1.1b52f1a9fbecp+27 "
+       "wait_p99.9=0x1.fcp+26 by_node=57,1398,1424,1395,1477,1419,"},
+      {"jsq-cap", pinned_case(ClusterDispatch::JsqD, 6, usec(200)),
+       "offered=7427 admitted=5637 dropped=1789 completed=5611 "
+       "generated=8260 total_completed=6417 total_dropped=1816 in_transit=1 "
+       "in_flight=26 migrations=2 imbalance=0x1.9249249249248p+0 "
+       "goodput=0x1.85a71c71c71c7p+11 lat_min=401000 lat_max=121294000 "
+       "lat_mean=0x1.9b42d0a43fb13p+22 lat_p50=0x1.1ce38e38e38e4p+22 "
+       "wait_p50=0x1.86ap+17 lat_p99=0x1.dfbbbbbbbbbabp+24 "
+       "wait_p99=0x1.bfccccccccccp+23 lat_p99.9=0x1.1cp+26 "
+       "wait_p99.9=0x1.74p+24 by_node=57,1131,1101,1080,1114,1128,"},
+      {"rr-hop0", pinned_case(ClusterDispatch::RoundRobin, 0, 0),
+       "offered=7427 admitted=7126 dropped=301 completed=6596 generated=8260 "
+       "total_completed=7429 total_dropped=301 in_transit=0 in_flight=530 "
+       "migrations=5 imbalance=0x1.27d27d27d27d2p+2 "
+       "goodput=0x1.ca0e38e38e38ep+11 lat_min=1000 lat_max=1229797000 "
+       "lat_mean=0x1.143802fa2da46p+26 lat_p50=0x1.d3745d1745d17p+23 "
+       "wait_p50=0x1.ff4b4b4b4b4b5p+22 lat_p99=0x1.50147ae147ae6p+29 "
+       "wait_p99=0x1.483333333334p+29 lat_p99.9=0x1.01147ae147bp+30 "
+       "wait_p99.9=0x1.01147ae147bp+30 by_node=76,1419,1393,1208,1264,1236,"},
+  };
+  for (const PinnedRun& run : runs) {
+    for (const int width : {1, 4}) {
+      const ClusterResult res = run_cluster(run.config, width);
+      EXPECT_GE(res.pool_migrations, 1) << run.name;
+      EXPECT_EQ(fingerprint(res), run.expected)
+          << run.name << " at node width " << width;
+    }
+  }
 }
 
 TEST(ClusterConfigValidation, RejectsBadShapes) {

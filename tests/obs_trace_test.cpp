@@ -171,6 +171,33 @@ TEST(Json, IntegerExtremes) {
   EXPECT_EQ(JsonValue::parse(os.str()).size(), 5u);
 }
 
+TEST(Json, AsIntIsExactAndRangeChecked) {
+  // Integer tokens convert without passing through a double: 2^63 - 1 and
+  // 2^53 + 1 would round there.
+  EXPECT_EQ(JsonValue::parse("9223372036854775807").as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(JsonValue::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(JsonValue::parse("9007199254740993").as_int(), 9007199254740993);
+  // The writer's INT64_MAX round-trips.
+  std::ostringstream os;
+  JsonWriter(os).value(std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(JsonValue::parse(os.str()).as_int(),
+            std::numeric_limits<std::int64_t>::max());
+  // Fraction and exponent tokens truncate toward zero while they fit.
+  EXPECT_EQ(JsonValue::parse("1e3").as_int(), 1000);
+  EXPECT_EQ(JsonValue::parse("-2.75").as_int(), -2);
+  // Out of range: an error, never a wrapped or undefined conversion. The
+  // values still parse as numbers.
+  for (const char* text : {"9223372036854775808", "-9223372036854775809",
+                           "9223372036854775808.0", "9.3e18", "1e300",
+                           "-1e300"}) {
+    const JsonValue v = JsonValue::parse(text);
+    EXPECT_GT(std::abs(v.as_number()), 9e18) << text;
+    EXPECT_THROW(v.as_int(), std::runtime_error) << text;
+  }
+}
+
 // Groups thousands with ',' and uses ',' as the decimal point, so any
 // number formatted through the stream's locale would come out as bad JSON.
 struct GroupingPunct : std::numpunct<char> {

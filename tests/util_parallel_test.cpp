@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -46,6 +47,33 @@ TEST(ThreadPool, WaitIdleIsReusable) {
     pool.wait_idle();
     EXPECT_EQ(count.load(), (round + 1) * 10);
   }
+}
+
+TEST(ThreadPool, SubmitToRunsOnTheNamedWorkerEveryRound) {
+  ThreadPool pool(3);
+  std::vector<std::thread::id> first(3);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<std::thread::id> seen(3);
+    for (int w = 0; w < 3; ++w)
+      pool.submit_to(w, [&seen, w] {
+        seen[static_cast<std::size_t>(w)] = std::this_thread::get_id();
+      });
+    pool.wait_idle();
+    if (round == 0) first = seen;
+    EXPECT_EQ(seen, first) << "round " << round;
+  }
+  EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.end()).size(), 3u);
+  EXPECT_EQ(std::count(first.begin(), first.end(), std::this_thread::get_id()),
+            0);
+}
+
+TEST(ThreadPool, InPoolWorkerOnlyOnWorkers) {
+  EXPECT_FALSE(in_pool_worker());
+  std::atomic<int> on_worker{0};
+  parallel_for(2, 8, [&](std::size_t) { on_worker += in_pool_worker(); });
+  EXPECT_EQ(on_worker.load(), 8);
+  // jobs=1 runs inline on the caller.
+  parallel_for(1, 4, [&](std::size_t) { EXPECT_FALSE(in_pool_worker()); });
 }
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {

@@ -122,6 +122,38 @@ TEST(LatencyHistogram, SingleValueExactEverywhere) {
     EXPECT_DOUBLE_EQ(h.percentile(p), 12345.0);
 }
 
+TEST(LatencyHistogram, MeanIsExactAcrossOrdersAndMerges) {
+  // Above 2^53 a double sum rounds: 2^53 + 1 + 1 summed left to right
+  // stays 2^53, summed right to left gives 2^53 + 2. The integer sum is
+  // the same whichever way the values arrive.
+  constexpr std::int64_t kBig = std::int64_t{1} << 53;
+  LatencyHistogram forward;
+  for (const std::int64_t v : {kBig, std::int64_t{1}, std::int64_t{1}})
+    forward.record(v);
+  LatencyHistogram backward;
+  for (const std::int64_t v : {std::int64_t{1}, std::int64_t{1}, kBig})
+    backward.record(v);
+  LatencyHistogram small;
+  small.record(1);
+  small.record(1);
+  LatencyHistogram big;
+  big.record(kBig);
+  LatencyHistogram merged = big;
+  merged.merge(small);
+  LatencyHistogram merged_back = small;
+  merged_back.merge(big);
+  const double exact = static_cast<double>(kBig + 2) / 3.0;
+  EXPECT_EQ(forward.mean(), exact);
+  EXPECT_EQ(backward.mean(), exact);
+  EXPECT_EQ(merged.mean(), exact);
+  EXPECT_EQ(merged_back.mean(), exact);
+  // Sums far past 2^64 stay exact too.
+  LatencyHistogram huge;
+  constexpr std::int64_t kTop = std::numeric_limits<std::int64_t>::max();
+  for (int i = 0; i < 4; ++i) huge.record(kTop);
+  EXPECT_EQ(huge.mean(), static_cast<double>(kTop));
+}
+
 TEST(LatencyHistogram, SmallValuesAreExact) {
   // Small values land in unit-width buckets, so they are recorded exactly.
   LatencyHistogram h;
