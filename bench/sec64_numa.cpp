@@ -8,11 +8,9 @@
 // PINNED, reporting runtimes and cross-node migration volume.
 
 #include <iostream>
-#include <memory>
+#include <vector>
 
-#include "balance/pinned.hpp"
 #include "bench_util.hpp"
-#include "workload/generator.hpp"
 
 using namespace speedbal;
 using scenarios::Setup;
@@ -65,45 +63,19 @@ int main(int argc, char** argv) {
     if (!row.block_numa && row.setup == Setup::SpeedYield)
       cfg.speed.threshold = 0.95;  // Make cross-node pulls more likely.
 
-    // Run once manually per repeat to read the migration log.
-    OnlineStats runtime;
-    OnlineStats crossings;
-    for (int rep = 0; rep < cfg.repeats; ++rep) {
-      auto one = cfg;
-      one.repeats = 1;
-      one.seed = cfg.seed + static_cast<std::uint64_t>(rep);
-      // run_experiment aggregates but hides metrics; rebuild via the public
-      // single-run API for the crossing count.
-      const auto result = run_experiment(one);
-      runtime.add(result.mean_runtime());
-    }
-    // Crossing counts need direct simulator access:
-    {
-      Simulator sim(topo, cfg.sim, cfg.seed);
-      LinuxLoadBalancer lb(cfg.linux_load);
-      if (cfg.policy != Policy::Dwrr && cfg.policy != Policy::Ule) lb.attach(sim);
-      SpmdApp app(sim, cfg.app);
-      app.launch(cfg.policy == Policy::Pinned ? SpmdApp::Placement::RoundRobin
-                                              : SpmdApp::Placement::LinuxFork,
-                 workload::first_cores(cores));
-      std::unique_ptr<SpeedBalancer> sb;
-      std::unique_ptr<PinnedBalancer> pinned;
-      if (cfg.policy == Policy::Speed) {
-        sb = std::make_unique<SpeedBalancer>(cfg.speed, app.threads(),
-                                             workload::first_cores(cores));
-        sb->attach(sim);
-      } else if (cfg.policy == Policy::Pinned) {
-        pinned = std::make_unique<PinnedBalancer>(app.threads(),
-                                                  workload::first_cores(cores));
-        pinned->attach(sim);
-      }
-      sim.run_while_pending([&] { return app.finished(); }, cfg.time_cap);
-      crossings.add(static_cast<double>(cross_node_migrations(topo, sim.metrics())));
-    }
+    cfg.jobs = args.jobs;
+    // Each replica counts its own crossings while its simulator is alive,
+    // so the column describes the runs whose runtimes it sits beside.
+    std::vector<double> crossings(static_cast<std::size_t>(cfg.repeats), 0.0);
+    cfg.on_run_end = [&](Simulator& sim, SpmdApp&, int rep) {
+      crossings[static_cast<std::size_t>(rep)] =
+          static_cast<double>(cross_node_migrations(topo, sim.metrics()));
+    };
+    const auto result = run_experiment(cfg);
 
-    table.add_row({row.name, Table::num(runtime.mean(), 2),
-                   Table::num((runtime.max() / std::max(runtime.min(), 1e-9) - 1.0) * 100.0, 1),
-                   Table::num(crossings.mean(), 0)});
+    table.add_row({row.name, Table::num(result.mean_runtime(), 2),
+                   Table::num(result.variation_pct(), 1),
+                   Table::num(summarize(crossings).mean, 0)});
   }
   report.emit("numa", table);
   return 0;

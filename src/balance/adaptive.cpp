@@ -83,19 +83,18 @@ AdaptiveSpeedBalancer::AdaptiveSpeedBalancer(AdaptiveParams params,
       portfolio_(default_portfolio(params_.speed)),
       samples_per_epoch_(params_.samples_per_epoch > 0
                              ? params_.samples_per_epoch
-                             : std::max<int>(1, static_cast<int>(cores.size()))) {
+                             : std::max<int>(1, static_cast<int>(cores.size()))),
+      inner_(params_.speed, std::move(managed), std::move(cores)) {
   predictor_.alpha = params_.ewma_alpha;
   predictor_.slope_alpha = params_.slope_alpha;
   stats_.assign(portfolio_.size(), {});
-  inner_ = std::make_unique<SpeedBalancer>(params_.speed, std::move(managed),
-                                           std::move(cores));
 }
 
 void AdaptiveSpeedBalancer::attach(Simulator& sim) {
   sim_ = &sim;
-  inner_->set_sample_observer(
+  inner_.set_sample_observer(
       [this](const obs::SpeedSample& s) { observe_sample(s); });
-  inner_->attach(sim);
+  inner_.attach(sim);
 }
 
 void AdaptiveSpeedBalancer::observe_congestion(double queued_per_worker) {
@@ -114,7 +113,7 @@ void AdaptiveSpeedBalancer::switch_to(int arm) {
   holding_ = false;  // Anticipation re-arms the hold right after its switch.
   ++changes_;
   const TuningArm& a = portfolio_[static_cast<std::size_t>(arm)];
-  inner_->apply_tuning(a.interval, a.threshold, a.post_migration_block,
+  inner_.apply_tuning(a.interval, a.threshold, a.post_migration_block,
                        a.shared_cache_block_scale);
   SB_LOG(Debug) << "adaptive: epoch " << epoch_ << " -> arm " << arm << " ("
                 << a.name << ")";

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -148,14 +147,17 @@ class AdaptiveSpeedBalancer : public Balancer {
  public:
   AdaptiveSpeedBalancer(AdaptiveParams params, std::vector<Task*> managed,
                         std::vector<CoreId> cores);
+  /// The inner balancer's sample observer holds `this`.
+  AdaptiveSpeedBalancer(const AdaptiveSpeedBalancer&) = delete;
+  AdaptiveSpeedBalancer& operator=(const AdaptiveSpeedBalancer&) = delete;
 
   void attach(Simulator& sim) override;
   std::string name() const override { return "adaptive-speed"; }
 
-  void add_managed(Task& t) { inner_->add_managed(t); }
+  void add_managed(Task& t) { inner_.add_managed(t); }
   void set_recorder(obs::RunRecorder* rec) {
     recorder_ = rec;
-    inner_->set_recorder(rec);
+    inner_.set_recorder(rec);
   }
 
   /// Serve stacks feed queue pressure (queued requests per worker) here at
@@ -164,7 +166,7 @@ class AdaptiveSpeedBalancer : public Balancer {
   void observe_congestion(double queued_per_worker);
 
   /// The wrapped balancer (tests drive balance_once through it).
-  SpeedBalancer& inner() { return *inner_; }
+  SpeedBalancer& inner() { return inner_; }
 
   /// Controller state, exposed for tests and benches.
   const std::vector<TuningArm>& portfolio() const { return portfolio_; }
@@ -187,7 +189,6 @@ class AdaptiveSpeedBalancer : public Balancer {
 
   AdaptiveParams params_;
   std::vector<TuningArm> portfolio_;
-  std::unique_ptr<SpeedBalancer> inner_;
   Simulator* sim_ = nullptr;
   obs::RunRecorder* recorder_ = nullptr;
 
@@ -210,6 +211,9 @@ class AdaptiveSpeedBalancer : public Balancer {
   std::int64_t last_change_epoch_ = 0;
   std::int64_t last_anticipation_epoch_ = 0;
   std::int64_t changes_ = 0;
+  /// Declared last: built from the constructor's thread and core lists
+  /// after samples_per_epoch_ has read the core count.
+  SpeedBalancer inner_;
 };
 
 }  // namespace speedbal

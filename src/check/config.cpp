@@ -9,17 +9,20 @@ namespace speedbal::check {
 
 namespace {
 
-/// The SHARE knobs bind in every mode (the policy field decides whether a
-/// ShareBalancer is actually built); the epoch reuses the speed balancer's
-/// interval so a shrink step that shortens one shortens both.
-hetero::ShareParams share_params(const FuzzScenario& sc) {
-  hetero::ShareParams p;
-  p.source = sc.share_count ? hetero::ShareParams::Source::Count
-                            : hetero::ShareParams::Source::Speed;
-  p.interval = sc.balance_interval;
-  p.min_share = sc.min_share;
-  p.hysteresis = sc.share_hysteresis;
-  return p;
+/// The stack knobs, lowered the same way on every tier. The SHARE knobs
+/// bind in every mode (the policy field decides whether a ShareBalancer is
+/// actually built); the epoch reuses the speed balancer's interval so a
+/// shrink step that shortens one shortens both.
+void lower_stack(const FuzzScenario& sc, PolicyStackParams& p) {
+  p.policy = sc.policy;
+  p.speed.interval = sc.balance_interval;
+  p.speed.threshold = sc.threshold;
+  p.adaptive.enabled = sc.adaptive;
+  p.share.source = sc.share_count ? hetero::ShareParams::Source::Count
+                                  : hetero::ShareParams::Source::Speed;
+  p.share.interval = sc.balance_interval;
+  p.share.min_share = sc.min_share;
+  p.share.hysteresis = sc.share_hysteresis;
 }
 
 }  // namespace
@@ -32,16 +35,12 @@ ExperimentConfig spmd_experiment(const FuzzScenario& sc) {
   cfg.app = workload::uniform_app(sc.threads, sc.phases, sc.work_per_phase_us,
                                   barrier);
   cfg.app.work_jitter = sc.work_jitter;
-  cfg.policy = sc.policy;
+  lower_stack(sc, cfg);
   cfg.cores = sc.cores;
   cfg.repeats = 1;
   cfg.jobs = 1;
   cfg.seed = sc.seed;
   cfg.time_cap = sec(600);
-  cfg.speed.interval = sc.balance_interval;
-  cfg.speed.threshold = sc.threshold;
-  cfg.adaptive.enabled = sc.adaptive;
-  cfg.share = share_params(sc);
   for (const perturb::PerturbEvent& ev : sc.perturb) cfg.perturb.add(ev);
   return cfg;
 }
@@ -50,7 +49,7 @@ serve::ServeConfig serve_experiment(const FuzzScenario& sc) {
   serve::ServeConfig cfg;
   cfg.topo = presets::by_name(sc.topo);
   cfg.cores = sc.cores;
-  cfg.policy = sc.policy;
+  lower_stack(sc, cfg);
   cfg.serve.workers = sc.workers;
   cfg.serve.idle = sc.serve_busy_poll ? serve::IdleMode::Yield
                                       : serve::IdleMode::Sleep;
@@ -62,10 +61,6 @@ serve::ServeConfig serve_experiment(const FuzzScenario& sc) {
   cfg.duration = sc.duration;
   cfg.warmup = std::min(msec(100), sc.duration / 4);
   cfg.seed = sc.seed;
-  cfg.speed.interval = sc.balance_interval;
-  cfg.speed.threshold = sc.threshold;
-  cfg.adaptive.enabled = sc.adaptive;
-  cfg.share = share_params(sc);
   // SHARE only reaches the request stream through dispatch weights, so a
   // SHARE serve episode exercises the weighted dispatcher (the SERVE-SHARE
   // default); other policies keep the generated default.
@@ -81,7 +76,7 @@ cluster::ClusterConfig cluster_experiment(const FuzzScenario& sc) {
   cfg.pools_per_node = 1;
   cfg.topo = presets::by_name(sc.topo);
   cfg.cores = sc.cores;
-  cfg.policy = sc.policy;
+  lower_stack(sc, cfg);
   cfg.serve.workers = sc.workers;
   cfg.serve.idle = sc.serve_busy_poll ? serve::IdleMode::Yield
                                       : serve::IdleMode::Sleep;
@@ -98,10 +93,6 @@ cluster::ClusterConfig cluster_experiment(const FuzzScenario& sc) {
   cfg.duration = sc.duration;
   cfg.warmup = std::min(msec(100), sc.duration / 4);
   cfg.seed = sc.seed;
-  cfg.speed.interval = sc.balance_interval;
-  cfg.speed.threshold = sc.threshold;
-  cfg.adaptive.enabled = sc.adaptive;
-  cfg.share = share_params(sc);
   cfg.rebalance.enabled = sc.cluster_rebalance;
   cfg.rebalance.epoch = msec(50);
   if (!sc.perturb.empty()) {

@@ -36,11 +36,7 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
   if (config_.warmup >= config_.duration)
     throw std::invalid_argument("ClusterConfig: warmup must be < duration");
 
-  SimParams sim_params = config_.sim;
-  // Same ULE quirk as run_serve: the stale-snapshot fork placement is
-  // Linux-specific (paper footnote 1).
-  if (config_.policy == Policy::Ule) sim_params.load_snapshot_period = 0;
-
+  const SimParams sim_params = config_.sim_params();
   const int k = config_.cores > 0 ? config_.cores : config_.topo.num_cores();
   completed_by_node_.assign(static_cast<std::size_t>(config_.nodes), 0);
 
@@ -53,10 +49,8 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     const std::uint64_t node_seed =
         config_.seed ^ (kNodeSalt * static_cast<std::uint64_t>(n + 1));
     node.sim = std::make_unique<Simulator>(config_.topo, sim_params, node_seed);
-    node.cores = workload::first_cores(k);
-    node.stack = std::make_unique<serve::PolicyStack>(serve::PolicyStackParams{
-        config_.policy, config_.speed, config_.linux_load, config_.dwrr,
-        config_.ule, config_.share, config_.adaptive});
+    node.stack =
+        std::make_unique<PolicyStack>(config_, workload::first_cores(k));
     node.stack->attach_kernel(*node.sim);
 
     if (const auto it = config_.node_perturb.find(n);
@@ -84,7 +78,7 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     Node& node = nodes_[static_cast<std::size_t>(n)];
     node.stack->attach_user(*node.sim,
                             initial_workers[static_cast<std::size_t>(n)],
-                            node.cores, /*rec=*/nullptr);
+                            /*rec=*/nullptr);
   }
 }
 
@@ -95,7 +89,7 @@ serve::ServeRuntime* ClusterSim::open_pool_on(int pool, int node) {
   serve::ServeParams sp = config_.serve;
   sp.warmup = config_.warmup;
   auto rt = std::make_unique<serve::ServeRuntime>(*home.sim, sp);
-  rt->open(home.cores, home.stack->round_robin_launch());
+  rt->open(home.stack->cores(), home.stack->round_robin_launch());
   serve::ServeRuntime* raw = rt.get();
   rt->set_completion_hook([this, pool, raw, node](const Request& r) {
     on_pool_complete(pool, raw, node, r);
@@ -129,7 +123,7 @@ double ClusterSim::node_load(int node) const {
 double ClusterSim::node_effective_capacity(int node) const {
   const Node& nd = nodes_[static_cast<std::size_t>(node)];
   double cap = 0.0;
-  for (const CoreId c : nd.cores)
+  for (const CoreId c : nd.stack->cores())
     if (nd.sim->core(c).online()) cap += nd.sim->topo().core(c).clock_scale;
   return std::max(cap, 1e-9);
 }
@@ -459,47 +453,40 @@ void export_result_to_recorder(const ClusterResult& result,
   rec.set_counter("cluster.pool_migrations", result.pool_migrations);
 }
 
+namespace {
+
+/// Fold one replica into the merged result (goodput sums; run_replicas
+/// averages it).
+void merge_replica(ClusterResult& out, const ClusterResult& run) {
+  out.stats.offered += run.stats.offered;
+  out.stats.admitted += run.stats.admitted;
+  out.stats.dropped += run.stats.dropped;
+  out.stats.completed += run.stats.completed;
+  out.stats.total_generated += run.stats.total_generated;
+  out.stats.total_completed += run.stats.total_completed;
+  out.stats.total_dropped += run.stats.total_dropped;
+  out.stats.in_transit_end += run.stats.in_transit_end;
+  out.stats.in_flight_end += run.stats.in_flight_end;
+  out.stats.latency.merge(run.stats.latency);
+  out.stats.queue_wait.merge(run.stats.queue_wait);
+  out.generated += run.generated;
+  out.goodput_rps += run.goodput_rps;
+  out.pool_migrations += run.pool_migrations;
+  out.peak_imbalance = std::max(out.peak_imbalance, run.peak_imbalance);
+  for (std::size_t n = 0; n < out.completed_by_node.size() &&
+                          n < run.completed_by_node.size();
+       ++n)
+    out.completed_by_node[n] += run.completed_by_node[n];
+}
+
+}  // namespace
+
 ClusterResult run_cluster_repeats(const ClusterConfig& config, int repeats,
                                   int jobs) {
-  if (repeats <= 1) return run_cluster(config);
-  std::vector<ClusterResult> runs(static_cast<std::size_t>(repeats));
-  parallel_for_seeds(jobs, repeats, config.seed,
-                     [&](int rep, std::uint64_t seed) {
-                       ClusterConfig local = config;
-                       local.seed = seed;
-                       if (rep != 0) local.recorder = nullptr;
-                       local.export_result = false;
-                       runs[static_cast<std::size_t>(rep)] = run_cluster(local);
-                     });
-  // Merge in replica order — byte-identical for any `jobs`.
-  ClusterResult out = std::move(runs[0]);
-  double goodput_sum = out.goodput_rps;
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    const ClusterResult& run = runs[i];
-    out.stats.offered += run.stats.offered;
-    out.stats.admitted += run.stats.admitted;
-    out.stats.dropped += run.stats.dropped;
-    out.stats.completed += run.stats.completed;
-    out.stats.total_generated += run.stats.total_generated;
-    out.stats.total_completed += run.stats.total_completed;
-    out.stats.total_dropped += run.stats.total_dropped;
-    out.stats.in_transit_end += run.stats.in_transit_end;
-    out.stats.in_flight_end += run.stats.in_flight_end;
-    out.stats.latency.merge(run.stats.latency);
-    out.stats.queue_wait.merge(run.stats.queue_wait);
-    out.generated += run.generated;
-    goodput_sum += run.goodput_rps;
-    out.pool_migrations += run.pool_migrations;
-    out.peak_imbalance = std::max(out.peak_imbalance, run.peak_imbalance);
-    for (std::size_t n = 0; n < out.completed_by_node.size() &&
-                            n < run.completed_by_node.size();
-         ++n)
-      out.completed_by_node[n] += run.completed_by_node[n];
-  }
-  out.goodput_rps = goodput_sum / static_cast<double>(repeats);
-  if (config.recorder != nullptr && config.export_result)
-    export_result_to_recorder(out, *config.recorder);
-  return out;
+  return run_replicas(
+      config, repeats, jobs,
+      [](const ClusterConfig& c) { return run_cluster(c); }, merge_replica,
+      export_result_to_recorder);
 }
 
 }  // namespace speedbal::cluster

@@ -11,7 +11,7 @@
 #include "obs/recorder.hpp"
 #include "perturb/sim_driver.hpp"
 #include "perturb/timeline.hpp"
-#include "serve/policy_stack.hpp"
+#include "core/policy_stack.hpp"
 #include "serve/scenarios.hpp"
 #include "sim/event_queue.hpp"
 #include "util/parallel.hpp"
@@ -47,15 +47,22 @@ struct RebalanceParams {
 /// One simulated cluster: `nodes` machines (one Simulator each, running the
 /// per-node balancer stack of ServeConfig), `pools_per_node` worker pools
 /// per machine at start, a frontend dispatching over pools, and the global
-/// rebalancer migrating whole pools between machines.
-struct ClusterConfig {
+/// rebalancer migrating whole pools between machines. The per-node stack
+/// knobs come from PolicyStackParams, defaulting to SPEED with
+/// serve::serve_speed_defaults() as in ServeConfig. Under adaptive SPEED
+/// each node runs its own controller, unrecorded, so tuning stays
+/// node-local.
+struct ClusterConfig : PolicyStackParams {
+  ClusterConfig() {
+    policy = Policy::Speed;
+    speed = serve::serve_speed_defaults();
+  }
+
   int nodes = 16;
   int pools_per_node = 1;
   /// Per-node machine model and core restriction (serve semantics).
   Topology topo = Topology::build({});
   int cores = 0;
-  /// Per-node balancing policy (SPEED/LOAD/PINNED/DWRR/ULE/NONE).
-  Policy policy = Policy::Speed;
   /// Per-pool runtime parameters; `serve.workers` is workers *per pool*.
   serve::ServeParams serve;
 
@@ -76,16 +83,6 @@ struct ClusterConfig {
   SimTime warmup = sec(1);
   std::uint64_t seed = 42;
 
-  SpeedBalanceParams speed = serve::serve_speed_defaults();
-  LinuxLoadParams linux_load;
-  DwrrParams dwrr;
-  UleParams ule;
-  hetero::ShareParams share;
-  /// Online tuning of the SPEED constants: each node's stack wraps its
-  /// speed balancer in its own adaptive controller (per-node trajectories;
-  /// the node balancers run unrecorded, so tuning epochs stay node-local).
-  AdaptiveParams adaptive;
-  SimParams sim;
   RebalanceParams rebalance;
 
   /// Per-node scripted interference, keyed by node id (e.g. a DVFS step on
@@ -202,9 +199,8 @@ class ClusterSim {
   };
   struct Node {
     std::unique_ptr<Simulator> sim;
-    std::unique_ptr<serve::PolicyStack> stack;
+    std::unique_ptr<PolicyStack> stack;
     std::unique_ptr<perturb::SimPerturbDriver> perturber;
-    std::vector<CoreId> cores;
     /// Every pool incarnation ever opened here, kept alive until the run
     /// ends so draining pools finish their in-service tails safely.
     std::vector<std::unique_ptr<serve::ServeRuntime>> homed;

@@ -9,12 +9,7 @@
 
 #include "app/multiprog.hpp"
 #include "app/spmd.hpp"
-#include "balance/adaptive.hpp"
-#include "balance/dwrr.hpp"
-#include "balance/linux_load.hpp"
-#include "balance/speed.hpp"
-#include "balance/ule.hpp"
-#include "hetero/share.hpp"
+#include "core/policy_stack.hpp"
 #include "obs/recorder.hpp"
 #include "perturb/timeline.hpp"
 #include "topo/topology.hpp"
@@ -22,29 +17,13 @@
 
 namespace speedbal {
 
-/// Which balancing policy governs the run. LOAD/SPEED/PINNED follow the
-/// paper's terminology; Speed and Pinned coexist with the kernel Linux
-/// balancer exactly as in the paper (their threads are invisible to it).
-enum class Policy {
-  Load,    ///< Default Linux queue-length balancing only.
-  Speed,   ///< User-level speed balancing on top of the Linux kernel.
-  Pinned,  ///< Static round-robin pinning (application-level balancing).
-  Dwrr,    ///< DWRR kernel replacing the Linux balancer.
-  Ule,     ///< FreeBSD ULE push balancer replacing the Linux balancer.
-  None,    ///< No balancing at all (fork placement only); for experiments.
-  Share,   ///< Speed-weighted work partitioning: threads stay pinned, the
-           ///< per-phase work shares follow measured core speed (hetero).
-};
-
-const char* to_string(Policy p);
-
 /// One experiment: an SPMD application on a machine under a policy,
 /// repeated with different seeds (the paper reports 10+ runs everywhere
-/// because LOAD is erratic).
-struct ExperimentConfig {
+/// because LOAD is erratic). The machine's stack knobs come from
+/// PolicyStackParams: LOAD with the batch SpeedBalanceParams by default.
+struct ExperimentConfig : PolicyStackParams {
   Topology topo = Topology::build({});
   SpmdAppSpec app;
-  Policy policy = Policy::Load;
   /// Restrict to the first `cores` cores (the paper's taskset); 0 = all.
   int cores = 0;
   int repeats = 10;
@@ -56,17 +35,6 @@ struct ExperimentConfig {
   int jobs = 1;
   /// Simulated-time cap per run; runs that exceed it are marked incomplete.
   SimTime time_cap = sec(3600);
-
-  SpeedBalanceParams speed;
-  LinuxLoadParams linux_load;
-  DwrrParams dwrr;
-  UleParams ule;
-  hetero::ShareParams share;
-  /// Online tuning of the SPEED constants (`--adaptive`): when enabled, the
-  /// run wraps the speed balancer in the adaptive controller; `speed` above
-  /// still supplies the base constant-set (portfolio arm 0).
-  AdaptiveParams adaptive;
-  SimParams sim;
 
   /// Optional competitors sharing the machine.
   bool cpu_hog = false;

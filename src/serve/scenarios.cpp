@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "perturb/sim_driver.hpp"
-#include "serve/policy_stack.hpp"
+#include "core/policy_stack.hpp"
 #include "util/parallel.hpp"
 #include "workload/generator.hpp"
 
@@ -54,15 +54,11 @@ ServeResult run_serve(const ServeConfig& config) {
   if (config.warmup >= config.duration)
     throw std::invalid_argument("run_serve: warmup must be < duration");
 
-  SimParams sim_params = config.sim;
-  // Same ULE quirk as the batch experiments: the stale-snapshot fork
-  // placement is Linux-specific (paper footnote 1).
-  if (config.policy == Policy::Ule) sim_params.load_snapshot_period = 0;
-  Simulator sim(config.topo, sim_params, config.seed);
+  Simulator sim(config.topo, config.sim_params(), config.seed);
   obs::RunRecorder* recorder = config.recorder;
   sim.set_recorder(recorder);
   const int k = config.cores > 0 ? config.cores : config.topo.num_cores();
-  const auto cores = workload::first_cores(k);
+  PolicyStack stack(config, workload::first_cores(k));
 
   // Scripted interference (DVFS steps, hotplug, hogs) over the serving run.
   std::unique_ptr<perturb::SimPerturbDriver> perturber;
@@ -74,18 +70,16 @@ ServeResult run_serve(const ServeConfig& config) {
 
   // The per-machine balancer stack, exactly as in the batch experiments:
   // SPEED/PINNED/SHARE run on top of the Linux balancer, DWRR/ULE replace it.
-  PolicyStack stack({config.policy, config.speed, config.linux_load,
-                     config.dwrr, config.ule, config.share, config.adaptive});
   stack.attach_kernel(sim);
 
   ServeParams serve_params = config.serve;
   serve_params.warmup = config.warmup;
   ServeRuntime runtime(sim, serve_params);
   runtime.set_recorder(recorder);
-  runtime.open(cores, stack.round_robin_launch());
+  runtime.open(stack.cores(), stack.round_robin_launch());
 
   // User-level policy over the worker pool.
-  stack.attach_user(sim, runtime.workers(), cores, recorder);
+  stack.attach_user(sim, runtime.workers(), recorder);
 
   // SHARE moves *work*, not workers: every adopted repartition re-weights
   // the dispatcher so each core's request stream tracks its measured
@@ -94,7 +88,7 @@ ServeResult run_serve(const ServeConfig& config) {
   // (the SERVE-SHARE default); other dispatchers ignore the weights.
   if (stack.share() != nullptr) {
     const int nw = serve_params.workers;
-    const int nc = static_cast<int>(cores.size());
+    const int nc = static_cast<int>(stack.cores().size());
     stack.share()->set_sink([&runtime, nw, nc](const std::vector<double>& shares) {
       std::vector<double> weights(static_cast<std::size_t>(nw), 0.0);
       for (int w = 0; w < nw; ++w) {
@@ -163,45 +157,32 @@ void export_result_to_recorder(const ServeResult& result,
   rec.set_counter("serve.generated", result.generated);
 }
 
+namespace {
+
+/// Fold one replica into the merged result: counters sum, histograms merge
+/// (no re-recording of samples), goodput sums (run_replicas averages it).
+void merge_replica(ServeResult& out, const ServeResult& run) {
+  out.stats.offered += run.stats.offered;
+  out.stats.admitted += run.stats.admitted;
+  out.stats.dropped += run.stats.dropped;
+  out.stats.completed += run.stats.completed;
+  out.stats.max_queue_depth =
+      std::max(out.stats.max_queue_depth, run.stats.max_queue_depth);
+  out.stats.latency.merge(run.stats.latency);
+  out.stats.queue_wait.merge(run.stats.queue_wait);
+  out.generated += run.generated;
+  out.goodput_rps += run.goodput_rps;
+  out.total_migrations += run.total_migrations;
+  for (const auto& [cause, n] : run.migrations_by_cause)
+    out.migrations_by_cause[cause] += n;
+}
+
+}  // namespace
+
 ServeResult run_serve_repeats(const ServeConfig& config, int repeats,
                               int jobs) {
-  if (repeats <= 1) return run_serve(config);
-  std::vector<ServeResult> runs(static_cast<std::size_t>(repeats));
-  parallel_for_seeds(jobs, repeats, config.seed,
-                     [&](int rep, std::uint64_t seed) {
-                       ServeConfig local = config;
-                       local.seed = seed;
-                       if (rep != 0) local.recorder = nullptr;
-                       // The merged result is exported once below; exporting
-                       // per replica would both waste the serialization and
-                       // record only replica 0's totals.
-                       local.export_result = false;
-                       runs[static_cast<std::size_t>(rep)] = run_serve(local);
-                     });
-  // Merge in replica order: counters sum, histograms merge (no
-  // re-recording of samples), goodput averages.
-  ServeResult out = std::move(runs[0]);
-  double goodput_sum = out.goodput_rps;
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    const ServeResult& run = runs[r];
-    out.stats.offered += run.stats.offered;
-    out.stats.admitted += run.stats.admitted;
-    out.stats.dropped += run.stats.dropped;
-    out.stats.completed += run.stats.completed;
-    out.stats.max_queue_depth =
-        std::max(out.stats.max_queue_depth, run.stats.max_queue_depth);
-    out.stats.latency.merge(run.stats.latency);
-    out.stats.queue_wait.merge(run.stats.queue_wait);
-    out.generated += run.generated;
-    goodput_sum += run.goodput_rps;
-    out.total_migrations += run.total_migrations;
-    for (const auto& [cause, n] : run.migrations_by_cause)
-      out.migrations_by_cause[cause] += n;
-  }
-  out.goodput_rps = goodput_sum / static_cast<double>(repeats);
-  if (config.recorder != nullptr && config.export_result)
-    export_result_to_recorder(out, *config.recorder);
-  return out;
+  return run_replicas(config, repeats, jobs, run_serve, merge_replica,
+                      export_result_to_recorder);
 }
 
 }  // namespace speedbal::serve

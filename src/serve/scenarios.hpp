@@ -26,12 +26,18 @@ inline SpeedBalanceParams serve_speed_defaults() {
 /// One serve run: an open-loop load generator feeding the sharded dispatch
 /// layer into a worker pool balanced by `policy` (the same Policy set the
 /// batch experiments use — SPEED/LOAD/PINNED coexist with the kernel Linux
-/// balancer; DWRR/ULE replace it; NONE leaves fork placement alone).
-struct ServeConfig {
+/// balancer; DWRR/ULE replace it; NONE leaves fork placement alone). The
+/// stack knobs come from PolicyStackParams, defaulting to SPEED with
+/// serve_speed_defaults().
+struct ServeConfig : PolicyStackParams {
+  ServeConfig() {
+    policy = Policy::Speed;
+    speed = serve_speed_defaults();
+  }
+
   Topology topo = Topology::build({});
   /// Restrict to the first `cores` cores (taskset); 0 = all.
   int cores = 0;
-  Policy policy = Policy::Speed;
   ServeParams serve;
   workload::ArrivalSpec arrival;
   workload::ServiceSpec service;
@@ -39,16 +45,6 @@ struct ServeConfig {
   /// Requests arriving before `warmup` are served but not measured.
   SimTime warmup = sec(1);
   std::uint64_t seed = 42;
-
-  SpeedBalanceParams speed = serve_speed_defaults();
-  LinuxLoadParams linux_load;
-  DwrrParams dwrr;
-  UleParams ule;
-  hetero::ShareParams share;
-  /// Online tuning of the SPEED constants (`--adaptive`): wraps the speed
-  /// balancer in the adaptive controller, with `speed` as the base arm.
-  AdaptiveParams adaptive;
-  SimParams sim;
 
   /// Scripted interference applied mid-serving (DVFS, hotplug, hogs).
   perturb::PerturbTimeline perturb;

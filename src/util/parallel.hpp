@@ -6,6 +6,7 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace speedbal {
@@ -78,5 +79,35 @@ void parallel_for(int jobs, std::size_t n,
 /// matter which worker ran which replica.
 void parallel_for_seeds(int jobs, int repeats, std::uint64_t base_seed,
                         const std::function<void(int, std::uint64_t)>& body);
+
+/// Replica driver of the run-once tiers (serve, cluster). Replica `rep`
+/// runs `run(local)` on a copy of `config` with the replica's salted seed,
+/// the recorder on replica 0 only and `export_result` off (a per-replica
+/// export would record replica 0's totals alone). The results merge into
+/// replica 0's in replica order through `merge(out, replica)`, which also
+/// sums `goodput_rps`; the driver turns that sum into the mean and exports
+/// the merged result once through `export_fn(out, recorder)`.
+/// The outcome is byte-identical for any `jobs`. repeats <= 1 is exactly
+/// `run(config)`.
+template <typename Config, typename Run, typename Merge, typename Export>
+auto run_replicas(const Config& config, int repeats, int jobs, const Run& run,
+                  const Merge& merge, const Export& export_fn) {
+  if (repeats <= 1) return run(config);
+  std::vector<decltype(run(config))> runs(static_cast<std::size_t>(repeats));
+  parallel_for_seeds(jobs, repeats, config.seed,
+                     [&](int rep, std::uint64_t seed) {
+                       Config local = config;
+                       local.seed = seed;
+                       if (rep != 0) local.recorder = nullptr;
+                       local.export_result = false;
+                       runs[static_cast<std::size_t>(rep)] = run(local);
+                     });
+  auto out = std::move(runs[0]);
+  for (std::size_t r = 1; r < runs.size(); ++r) merge(out, runs[r]);
+  out.goodput_rps /= static_cast<double>(repeats);
+  if (config.recorder != nullptr && config.export_result)
+    export_fn(out, *config.recorder);
+  return out;
+}
 
 }  // namespace speedbal

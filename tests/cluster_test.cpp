@@ -497,5 +497,16 @@ TEST(ClusterConfigValidation, RejectsBadShapes) {
   EXPECT_THROW(ClusterSim{config}, std::invalid_argument);
 }
 
+TEST(ClusterConfigDefaults, SpeedWithDemandScaledMeasurement) {
+  ClusterConfig cfg;
+  EXPECT_EQ(cfg.policy, Policy::Speed);
+  EXPECT_TRUE(cfg.speed.demand_scaled);
+  EXPECT_EQ(cfg.sim.load_snapshot_period, msec(10));
+  EXPECT_EQ(cfg.sim_params().load_snapshot_period, msec(10));
+  cfg.policy = Policy::Ule;
+  EXPECT_EQ(cfg.sim_params().load_snapshot_period, 0);
+  EXPECT_EQ(cfg.sim.load_snapshot_period, msec(10));
+}
+
 }  // namespace
 }  // namespace speedbal::cluster

@@ -111,5 +111,18 @@ TEST(Experiment, MeanMigrationsAggregates) {
   EXPECT_GT(result.mean_migrations(), 0.0);
 }
 
+TEST(Experiment, DefaultsToLoadWithBatchSpeedParams) {
+  ExperimentConfig cfg;
+  EXPECT_EQ(cfg.policy, Policy::Load);
+  EXPECT_FALSE(cfg.speed.demand_scaled);
+  EXPECT_EQ(cfg.sim.load_snapshot_period, msec(10));
+  EXPECT_EQ(cfg.sim_params().load_snapshot_period, msec(10));
+  // ULE's fork placement reads live queue states (paper footnote 1); the
+  // override applies to the run, not to the configured value.
+  cfg.policy = Policy::Ule;
+  EXPECT_EQ(cfg.sim_params().load_snapshot_period, 0);
+  EXPECT_EQ(cfg.sim.load_snapshot_period, msec(10));
+}
+
 }  // namespace
 }  // namespace speedbal

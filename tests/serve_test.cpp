@@ -340,5 +340,16 @@ TEST(ServeRun, CapacityAndRateHelpers) {
   EXPECT_DOUBLE_EQ(rate_for_utilization(topo, 4, 0.5, 5000.0), 600.0);
 }
 
+TEST(ServeConfigDefaults, SpeedWithDemandScaledMeasurement) {
+  ServeConfig cfg;
+  EXPECT_EQ(cfg.policy, Policy::Speed);
+  EXPECT_TRUE(cfg.speed.demand_scaled);
+  EXPECT_EQ(cfg.sim.load_snapshot_period, msec(10));
+  EXPECT_EQ(cfg.sim_params().load_snapshot_period, msec(10));
+  cfg.policy = Policy::Ule;
+  EXPECT_EQ(cfg.sim_params().load_snapshot_period, 0);
+  EXPECT_EQ(cfg.sim.load_snapshot_period, msec(10));
+}
+
 }  // namespace
 }  // namespace speedbal::serve
