@@ -2,7 +2,10 @@
 // from the run report. A change that moves any simulated outcome (a
 // migration, a latency bucket, a counter) moves its cell's digest, so
 // "reports stay byte-identical under --seed" is checked on every build,
-// sanitizer trees included.
+// sanitizer trees included. The `cli/` cells run configs built by the
+// servesim and clustersim flag parsers, so a drifted flag default moves
+// them too; the `fuzz/` cells hash the outcome summary of a short fixed
+// fuzz leg per mode, so a drifted scenario lowering moves them.
 //
 //   model_digest_test                 compare against tests/golden/digests.json
 //   model_digest_test --write=PATH    write the current digests to PATH
@@ -24,12 +27,17 @@
 #include <utility>
 #include <vector>
 
+#include "check/episode.hpp"
+#include "check/scenario.hpp"
+#include "cluster/cli.hpp"
 #include "cluster/cluster.hpp"
 #include "core/experiment.hpp"
 #include "obs/recorder.hpp"
 #include "perturb/timeline.hpp"
+#include "serve/cli.hpp"
 #include "serve/scenarios.hpp"
 #include "topo/presets.hpp"
+#include "util/cli.hpp"
 #include "util/json.hpp"
 #include "workload/generator.hpp"
 
@@ -148,39 +156,152 @@ std::string cluster_cell(const Variant& v, std::uint64_t seed) {
 }
 
 using CellFn = std::function<std::string(const Variant&, std::uint64_t)>;
+using Digests = std::map<std::string, std::string>;
 
 /// Digests of one tier, keyed "<tier>/<variant>/<seed>".
-std::map<std::string, std::string> tier_digests(const std::string& tier,
-                                                const CellFn& cell) {
-  std::map<std::string, std::string> out;
+Digests tier_digests(const std::string& tier, const CellFn& cell) {
+  Digests out;
   for (const Variant& v : variants())
     for (const std::uint64_t seed : kSeeds)
       out[tier + "/" + v.name + "/" + std::to_string(seed)] = cell(v, seed);
   return out;
 }
 
-const std::vector<std::pair<std::string, CellFn>>& tiers() {
-  static const std::vector<std::pair<std::string, CellFn>> kTiers = {
-      {"spmd", spmd_cell}, {"serve", serve_cell}, {"cluster", cluster_cell}};
-  return kTiers;
+/// A Cli over `flags`, as a tool's main would see them.
+Cli make_cli(const std::vector<std::string>& flags) {
+  std::vector<const char*> argv = {"model_digest_test"};
+  for (const std::string& f : flags) argv.push_back(f.c_str());
+  return Cli(static_cast<int>(argv.size()), argv.data());
 }
 
-std::map<std::string, std::string> load_golden() {
+/// One flag set per cell. Every flag here is one both parsers have long
+/// read, so these cells pin parse results, not new options.
+using FlagCells = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+const FlagCells& serve_flag_cells() {
+  static const FlagCells kCells = {
+      {"DEFAULT", {}},
+      {"SHARE", {"--policy=SHARE", "--topo=biglittle2+2x2"}},
+      {"ADAPTIVE", {"--adaptive", "--topo=generic4", "--idle=yield"}},
+      {"BURSTY",
+       {"--arrival=bursty", "--burst-factor=8", "--burst-dwell-ms=100",
+        "--calm-dwell-ms=300", "--topo=generic4", "--queue-cap=16"}},
+      {"DIURNAL",
+       {"--arrival=diurnal", "--diurnal-period-s=0.5", "--diurnal-swing=0.5",
+        "--service=pareto", "--pareto-shape=1.8", "--topo=generic4",
+        "--cores=3", "--workers=5", "--dispatch=rr"}},
+      {"PERTURB",
+       {"--topo=generic4", "--utilization=0.9", "--span-sampling=2",
+        "--perturb=at=300ms dvfs core=0 scale=0.5; at=400ms offline core=3"}},
+  };
+  return kCells;
+}
+
+const FlagCells& cluster_flag_cells() {
+  static const FlagCells kCells = {
+      {"DEFAULT", {}},
+      {"SHARE", {"--nodes=3", "--policy=SHARE", "--topo=biglittle2+2x2"}},
+      {"ADAPTIVE",
+       {"--nodes=3", "--adaptive", "--idle=yield", "--dispatch=rr"}},
+      {"BURSTY",
+       {"--nodes=3", "--arrival=bursty", "--pools-per-node=2",
+        "--pool-dispatch=rr", "--queue-cap=16"}},
+      {"PERTURB",
+       {"--nodes=3", "--utilization=0.9", "--rebalance-epoch-ms=100",
+        "--service=lognormal", "--service-cv=2",
+        "--perturb=at=300ms dvfs core=0 scale=0.25; at=300ms dvfs core=1 "
+        "scale=0.25",
+        "--perturb-node=1"}},
+  };
+  return kCells;
+}
+
+/// Reports of short runs whose configs come from the tool parsers, keyed
+/// "cli/<tool>/<cell>/<seed>".
+Digests cli_digests() {
+  Digests out;
+  for (const std::uint64_t seed : kSeeds) {
+    const std::vector<std::string> common = {
+        "--duration-s=1", "--warmup-s=0.2", "--seed=" + std::to_string(seed)};
+    for (const auto& [name, flags] : serve_flag_cells()) {
+      std::vector<std::string> all = common;
+      all.insert(all.end(), flags.begin(), flags.end());
+      serve::ServeConfig cfg = serve::parse_serve_config(make_cli(all));
+      obs::RunRecorder rec;
+      cfg.recorder = &rec;
+      serve::run_serve(cfg);
+      out["cli/servesim/" + name + "/" + std::to_string(seed)] =
+          report_digest(rec);
+    }
+    for (const auto& [name, flags] : cluster_flag_cells()) {
+      std::vector<std::string> all = common;
+      all.insert(all.end(), flags.begin(), flags.end());
+      cluster::ClusterConfig cfg = cluster::parse_cluster_config(make_cli(all));
+      obs::RunRecorder rec;
+      cfg.recorder = &rec;
+      cluster::run_cluster(cfg);
+      out["cli/clustersim/" + name + "/" + std::to_string(seed)] =
+          report_digest(rec);
+    }
+  }
+  return out;
+}
+
+/// Episodes per fuzz leg: generated scenarios seed, seed+1, ... forced into
+/// one mode, as `fuzzsim --mode=M --seed=S` draws them.
+constexpr int kLegEpisodes = 8;
+
+/// The outcome summaries of a short fuzz leg per mode, keyed
+/// "fuzz/<mode>/<seed>".
+Digests fuzz_digests() {
+  Digests out;
+  for (const check::Mode mode :
+       {check::Mode::Spmd, check::Mode::Serve, check::Mode::Cluster}) {
+    for (const std::uint64_t seed : kSeeds) {
+      std::string leg;
+      for (int e = 0; e < kLegEpisodes; ++e) {
+        check::FuzzScenario sc =
+            check::generate(seed + static_cast<std::uint64_t>(e));
+        sc.mode = mode;
+        sc.validate();
+        leg += check::run_episode(sc).digest();
+      }
+      out[std::string("fuzz/") + check::to_string(mode) + "/" +
+          std::to_string(seed)] = hex64(fnv1a64(leg));
+    }
+  }
+  return out;
+}
+
+/// Every cell group by name; the golden file holds their union.
+const std::vector<std::pair<std::string, std::function<Digests()>>>& groups() {
+  static const std::vector<std::pair<std::string, std::function<Digests()>>>
+      kGroups = {
+          {"spmd", [] { return tier_digests("spmd", spmd_cell); }},
+          {"serve", [] { return tier_digests("serve", serve_cell); }},
+          {"cluster", [] { return tier_digests("cluster", cluster_cell); }},
+          {"cli", cli_digests},
+          {"fuzz", fuzz_digests},
+      };
+  return kGroups;
+}
+
+Digests load_golden() {
   std::ifstream in(SPEEDBAL_GOLDEN_DIGESTS);
   std::stringstream text;
   text << in.rdbuf();
   const JsonValue doc = JsonValue::parse(text.str());
-  std::map<std::string, std::string> out;
+  Digests out;
   for (const auto& [key, value] : doc.members())
     out[key] = value.as_string();
   return out;
 }
 
-void expect_tier_matches_golden(const std::string& tier) {
+void expect_group_matches_golden(const std::string& group) {
   const auto golden = load_golden();
-  for (const auto& [name, cell] : tiers()) {
-    if (name != tier) continue;
-    for (const auto& [key, digest] : tier_digests(name, cell)) {
+  for (const auto& [name, digests] : groups()) {
+    if (name != group) continue;
+    for (const auto& [key, digest] : digests()) {
       const auto it = golden.find(key);
       ASSERT_NE(it, golden.end()) << key << " missing from the golden file";
       EXPECT_EQ(digest, it->second) << key << " moved";
@@ -188,16 +309,22 @@ void expect_tier_matches_golden(const std::string& tier) {
   }
 }
 
-TEST(ModelDigest, SpmdReportsMatchGolden) { expect_tier_matches_golden("spmd"); }
-TEST(ModelDigest, ServeReportsMatchGolden) { expect_tier_matches_golden("serve"); }
-TEST(ModelDigest, ClusterReportsMatchGolden) {
-  expect_tier_matches_golden("cluster");
+TEST(ModelDigest, SpmdReportsMatchGolden) { expect_group_matches_golden("spmd"); }
+TEST(ModelDigest, ServeReportsMatchGolden) {
+  expect_group_matches_golden("serve");
 }
+TEST(ModelDigest, ClusterReportsMatchGolden) {
+  expect_group_matches_golden("cluster");
+}
+TEST(ModelDigest, CliParsedReportsMatchGolden) {
+  expect_group_matches_golden("cli");
+}
+TEST(ModelDigest, FuzzLegsMatchGolden) { expect_group_matches_golden("fuzz"); }
 
 /// One cell per line, sorted, so a diff of the file names the moved cells.
 int write_golden(const std::string& path) {
-  std::map<std::string, std::string> all;
-  for (const auto& [name, cell] : tiers()) all.merge(tier_digests(name, cell));
+  Digests all;
+  for (const auto& [name, digests] : groups()) all.merge(digests());
   std::ofstream out(path);
   out << "{\n";
   std::size_t i = 0;
