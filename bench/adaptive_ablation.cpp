@@ -80,7 +80,6 @@ StepOutcome run_step(const Variant& v, const char* spec, SimTime horizon,
   cfg.policy = Policy::Speed;
   cfg.speed = v.speed;
   cfg.adaptive.enabled = v.adaptive;
-  cfg.adaptive.speed = v.speed;
   cfg.repeats = repeats;
   cfg.seed = seed;
   cfg.time_cap = horizon;
@@ -156,7 +155,6 @@ serve::ServeResult run_serve_cell(const Variant& v, double utilization,
   config.policy = Policy::Speed;
   config.speed = v.speed;
   config.adaptive.enabled = v.adaptive;
-  config.adaptive.speed = v.speed;
   config.serve.workers = 2 * cores;
   config.serve.queue_capacity = 64;
   config.serve.dispatch = serve::DispatchPolicy::RoundRobin;

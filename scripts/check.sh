@@ -8,8 +8,9 @@
 # example (window-index build), and an
 # UndefinedBehaviorSanitizer build of the event queue, metrics, procfs
 # parsers, pull rule, obs and fuzz tests; the ASan and UBSan trees also
-# run the golden model digests, and each sanitizer tree runs fuzz
-# episodes. Run from anywhere;
+# run the golden model digests and the CLI tests (simrun, servesim and
+# clustersim over malformed flag values), and each sanitizer tree runs
+# fuzz episodes. Run from anywhere;
 # build trees live under build/, build-tsan/, build-asan/ and build-ubsan/
 # at the repo root.
 set -euo pipefail
@@ -147,14 +148,16 @@ ctest --test-dir "$repo/build-tsan" --output-on-failure -R 'util_parallel_test'
 cmake --build "$repo/build-tsan" -j "$jobs" --target fuzzsim
 "$repo/build-tsan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 
-echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue + obs tests + model digests + inspect_rotation =="
+echo "== asan: perturbation + native + serve + cluster + hetero + adaptive + metrics/queue + obs tests + model digests + CLI tests + inspect_rotation =="
 # obs_test drives the JSON writer (straight into the stream buffer) and the
 # parser over malformed input, plus the recorder's trace and report exports.
 # model_digest_test runs every policy stack on every tier and must
-# reproduce the golden digests under the sanitizer.
+# reproduce the golden digests under the sanitizer. tools_cli_test drives
+# the simrun, servesim and clustersim flag parsers, malformed values
+# included, through the instrumented binaries.
 cmake -B "$repo/build-asan" -S "$repo" -DSPEEDBAL_SANITIZE=address >/dev/null
-cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test obs_test model_digest_test fuzzsim
-ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test|obs_test|model_digest_test'
+cmake --build "$repo/build-asan" -j "$jobs" --target perturb_test native_test serve_test cluster_test hetero_test util_test sim_test adaptive_test obs_test model_digest_test fuzzsim simrun servesim clustersim tools_cli_test
+ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_test|serve_test|cluster_test|hetero_test|util_test|sim_test|adaptive_test|obs_test|model_digest_test|tools_cli_test'
 "$repo/build-asan/src/fuzzsim" --episodes=1 --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --episodes=3 --mode=cluster --seed="$fuzz_seed" >/dev/null
 "$repo/build-asan/src/fuzzsim" --hetero --episodes=3 --seed="$fuzz_seed" >/dev/null
@@ -163,14 +166,15 @@ ctest --test-dir "$repo/build-asan" --output-on-failure -R 'perturb_test|native_
 cmake --build "$repo/build-asan" -j "$jobs" --target inspect_rotation
 "$repo/build-asan/examples/inspect_rotation" >/dev/null
 
-echo "== ubsan: event queue + metrics + util + native + pull rule + obs + model digests + fuzz harness =="
+echo "== ubsan: event queue + metrics + util + native + pull rule + obs + model digests + CLI tests + fuzz harness =="
 # UBSan aborts on the first report (-fno-sanitize-recover), so any
 # undefined behaviour fails the leg. check_test pulls in fuzzsim;
 # native_test covers the procfs parsers, balance_test the shared pull rule,
-# model_digest_test every policy stack on every tier.
+# model_digest_test every policy stack on every tier, tools_cli_test the
+# simrun, servesim and clustersim flag parsers.
 cmake -B "$repo/build-ubsan" -S "$repo" -DSPEEDBAL_SANITIZE=undefined >/dev/null
-cmake --build "$repo/build-ubsan" -j "$jobs" --target sim_test util_test check_test native_test balance_test obs_test model_digest_test
-ctest --test-dir "$repo/build-ubsan" --output-on-failure -R 'sim_test|util_test|check_test|native_test|balance_test|obs_test|model_digest_test'
+cmake --build "$repo/build-ubsan" -j "$jobs" --target sim_test util_test check_test native_test balance_test obs_test model_digest_test simrun servesim clustersim tools_cli_test
+ctest --test-dir "$repo/build-ubsan" --output-on-failure -R 'sim_test|util_test|check_test|native_test|balance_test|obs_test|model_digest_test|tools_cli_test'
 "$repo/build-ubsan/src/fuzzsim" --episodes=25 --mode=spmd --seed=505 >/dev/null
 
 echo "check.sh: all green"

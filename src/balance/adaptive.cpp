@@ -77,14 +77,15 @@ void Predictor::observe(double x) {
 }  // namespace adapt
 
 AdaptiveSpeedBalancer::AdaptiveSpeedBalancer(AdaptiveParams params,
+                                             const SpeedBalanceParams& base,
                                              std::vector<Task*> managed,
                                              std::vector<CoreId> cores)
     : params_(std::move(params)),
-      portfolio_(default_portfolio(params_.speed)),
+      portfolio_(default_portfolio(base)),
       samples_per_epoch_(params_.samples_per_epoch > 0
                              ? params_.samples_per_epoch
                              : std::max<int>(1, static_cast<int>(cores.size()))),
-      inner_(params_.speed, std::move(managed), std::move(cores)) {
+      inner_(base, std::move(managed), std::move(cores)) {
   predictor_.alpha = params_.ewma_alpha;
   predictor_.slope_alpha = params_.slope_alpha;
   stats_.assign(portfolio_.size(), {});

@@ -38,9 +38,6 @@ struct AdaptiveParams {
   /// the stacks decide between SpeedBalancer and the adaptive wrapper from
   /// this flag alone.
   bool enabled = false;
-  /// Base constant-set: arm 0 of the portfolio, and the inner balancer's
-  /// initial parameters (scenario lowering copies the fixed constants in).
-  SpeedBalanceParams speed;
   /// Balance-pass samples per controller epoch; 0 = one per managed core,
   /// making one epoch track one balance interval regardless of machine size.
   int samples_per_epoch = 0;
@@ -145,8 +142,10 @@ struct Predictor {
 /// without a recorder, preserving the sampling-identity oracle.
 class AdaptiveSpeedBalancer : public Balancer {
  public:
-  AdaptiveSpeedBalancer(AdaptiveParams params, std::vector<Task*> managed,
-                        std::vector<CoreId> cores);
+  /// `base` is the fixed constant-set: arm 0 of the portfolio, and the
+  /// inner balancer's initial parameters.
+  AdaptiveSpeedBalancer(AdaptiveParams params, const SpeedBalanceParams& base,
+                        std::vector<Task*> managed, std::vector<CoreId> cores);
   /// The inner balancer's sample observer holds `this`.
   AdaptiveSpeedBalancer(const AdaptiveSpeedBalancer&) = delete;
   AdaptiveSpeedBalancer& operator=(const AdaptiveSpeedBalancer&) = delete;

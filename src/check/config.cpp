@@ -9,11 +9,13 @@ namespace speedbal::check {
 
 namespace {
 
-/// The stack knobs, lowered the same way on every tier. The SHARE knobs
-/// bind in every mode (the policy field decides whether a ShareBalancer is
-/// actually built); the epoch reuses the speed balancer's interval so a
-/// shrink step that shortens one shortens both.
+/// The machine and its stack knobs, lowered the same way on every tier.
+/// The SHARE knobs bind in every mode (the policy field decides whether a
+/// ShareBalancer is actually built); the epoch reuses the speed balancer's
+/// interval so a shrink step that shortens one shortens both.
 void lower_stack(const FuzzScenario& sc, PolicyStackParams& p) {
+  p.topo = presets::by_name(sc.topo);
+  p.cores = sc.cores;
   p.policy = sc.policy;
   p.speed.interval = sc.balance_interval;
   p.speed.threshold = sc.threshold;
@@ -25,18 +27,36 @@ void lower_stack(const FuzzScenario& sc, PolicyStackParams& p) {
   p.share.hysteresis = sc.share_hysteresis;
 }
 
+/// The serving block of a serve or cluster episode: `machines` machines of
+/// the scenario's shape share its utilization.
+void lower_serving(const FuzzScenario& sc, serve::ServingParams& p,
+                   int machines) {
+  lower_stack(sc, p);
+  p.serve.workers = sc.workers;
+  p.serve.idle =
+      sc.serve_busy_poll ? serve::IdleMode::Yield : serve::IdleMode::Sleep;
+  p.arrival.kind = sc.arrival;
+  p.arrival.rate_rps =
+      static_cast<double>(machines) *
+      serve::rate_for_utilization(p.topo, sc.cores, sc.utilization,
+                                  sc.mean_service_us);
+  p.service.kind = sc.service;
+  p.service.mean_us = sc.mean_service_us;
+  p.duration = sc.duration;
+  p.warmup = std::min(msec(100), sc.duration / 4);
+  p.seed = sc.seed;
+}
+
 }  // namespace
 
 ExperimentConfig spmd_experiment(const FuzzScenario& sc) {
   ExperimentConfig cfg;
-  cfg.topo = presets::by_name(sc.topo);
+  lower_stack(sc, cfg);
   BarrierConfig barrier;
   barrier.policy = sc.barrier;
   cfg.app = workload::uniform_app(sc.threads, sc.phases, sc.work_per_phase_us,
                                   barrier);
   cfg.app.work_jitter = sc.work_jitter;
-  lower_stack(sc, cfg);
-  cfg.cores = sc.cores;
   cfg.repeats = 1;
   cfg.jobs = 1;
   cfg.seed = sc.seed;
@@ -47,20 +67,7 @@ ExperimentConfig spmd_experiment(const FuzzScenario& sc) {
 
 serve::ServeConfig serve_experiment(const FuzzScenario& sc) {
   serve::ServeConfig cfg;
-  cfg.topo = presets::by_name(sc.topo);
-  cfg.cores = sc.cores;
-  lower_stack(sc, cfg);
-  cfg.serve.workers = sc.workers;
-  cfg.serve.idle = sc.serve_busy_poll ? serve::IdleMode::Yield
-                                      : serve::IdleMode::Sleep;
-  cfg.arrival.kind = sc.arrival;
-  cfg.arrival.rate_rps = serve::rate_for_utilization(
-      cfg.topo, sc.cores, sc.utilization, sc.mean_service_us);
-  cfg.service.kind = sc.service;
-  cfg.service.mean_us = sc.mean_service_us;
-  cfg.duration = sc.duration;
-  cfg.warmup = std::min(msec(100), sc.duration / 4);
-  cfg.seed = sc.seed;
+  lower_serving(sc, cfg, /*machines=*/1);
   // SHARE only reaches the request stream through dispatch weights, so a
   // SHARE serve episode exercises the weighted dispatcher (the SERVE-SHARE
   // default); other policies keep the generated default.
@@ -72,27 +79,11 @@ serve::ServeConfig serve_experiment(const FuzzScenario& sc) {
 
 cluster::ClusterConfig cluster_experiment(const FuzzScenario& sc) {
   cluster::ClusterConfig cfg;
+  lower_serving(sc, cfg, sc.nodes);
   cfg.nodes = sc.nodes;
-  cfg.pools_per_node = 1;
-  cfg.topo = presets::by_name(sc.topo);
-  cfg.cores = sc.cores;
-  lower_stack(sc, cfg);
-  cfg.serve.workers = sc.workers;
-  cfg.serve.idle = sc.serve_busy_poll ? serve::IdleMode::Yield
-                                      : serve::IdleMode::Sleep;
   cfg.dispatch = sc.cluster_dispatch;
   cfg.jsq_d = sc.jsq_d;
   cfg.hop = static_cast<SimTime>(sc.hop_us);
-  cfg.arrival.kind = sc.arrival;
-  cfg.arrival.rate_rps =
-      static_cast<double>(sc.nodes) *
-      serve::rate_for_utilization(cfg.topo, sc.cores, sc.utilization,
-                                  sc.mean_service_us);
-  cfg.service.kind = sc.service;
-  cfg.service.mean_us = sc.mean_service_us;
-  cfg.duration = sc.duration;
-  cfg.warmup = std::min(msec(100), sc.duration / 4);
-  cfg.seed = sc.seed;
   cfg.rebalance.enabled = sc.cluster_rebalance;
   cfg.rebalance.epoch = msec(50);
   if (!sc.perturb.empty()) {

@@ -1,10 +1,13 @@
 #include "cluster/cli.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <sstream>
+#include <utility>
 
 #include "obs/recorder.hpp"
+#include "serve/cli.hpp"
 #include "topo/presets.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -16,28 +19,22 @@ ClusterConfig parse_cluster_config(const Cli& cli) {
   config.nodes = static_cast<int>(cli.get_int("nodes", 16));
   config.pools_per_node = static_cast<int>(cli.get_int("pools-per-node", 1));
   config.topo = presets::by_name(cli.get("topo", "generic4"));
-  config.cores =
-      static_cast<int>(cli.get_int("cores", config.topo.num_cores()));
-  config.policy = serve::parse_serve_policy(cli.get("policy", "SPEED"));
-
-  const int k = config.cores > 0 ? config.cores : config.topo.num_cores();
-  const int workers = static_cast<int>(cli.get_int("workers", 0));
-  // Per-pool workers; same 2x oversubscription default as servesim so the
-  // per-node balancer has placement decisions to make.
-  config.serve.workers =
-      workers > 0 ? workers : 2 * k / std::max(1, config.pools_per_node);
-  config.serve.workers = std::max(1, config.serve.workers);
-  config.serve.queue_capacity =
-      static_cast<int>(cli.get_int("queue-cap", 64));
-  config.serve.dispatch =
-      serve::parse_dispatch_policy(cli.get("pool-dispatch", "jsq"));
-  config.serve.idle = serve::parse_idle_mode(cli.get("idle", "sleep"));
   // Span capture is per-request; at cluster request volumes it is off by
   // default (cluster reports carry the latency histograms instead).
-  config.serve.span_sampling_log2 =
-      static_cast<int>(cli.get_int("span-sampling", -1));
+  config.serve.span_sampling_log2 = -1;
+  // Utilization is offered load over the whole cluster's capacity.
+  serve::apply_serving_flags(cli, config, /*default_utilization=*/0.7,
+                             config.nodes);
 
-  config.adaptive.enabled = cli.has("adaptive");
+  // Per-pool workers; same 2x oversubscription default as servesim so the
+  // per-node balancer has placement decisions to make.
+  const int workers = static_cast<int>(cli.get_int("workers", 0));
+  config.serve.workers = std::max(
+      1, workers > 0 ? workers
+                     : 2 * managed_core_count(config.topo, config.cores) /
+                           std::max(1, config.pools_per_node));
+  config.serve.dispatch =
+      serve::parse_dispatch_policy(cli.get("pool-dispatch", "jsq"));
 
   config.dispatch = parse_cluster_dispatch(cli.get("dispatch", "jsq"));
   config.jsq_d = static_cast<int>(cli.get_int("jsq-d", 2));
@@ -46,31 +43,6 @@ ClusterConfig parse_cluster_config(const Cli& cli) {
   config.node_admission_cap =
       static_cast<int>(cli.get_int("node-admission-cap", 0));
 
-  config.service.kind =
-      workload::parse_service_kind(cli.get("service", "exp"));
-  config.service.mean_us = cli.get_double("service-mean-us", 5000.0);
-  config.service.cv = cli.get_double("service-cv", 1.5);
-  config.service.pareto_shape = cli.get_double("pareto-shape", 2.2);
-
-  config.arrival.kind =
-      workload::parse_arrival_kind(cli.get("arrival", "poisson"));
-  if (cli.has("rate")) {
-    config.arrival.rate_rps = cli.get_double("rate", 0.0);
-  } else {
-    // Utilization is offered load over the whole cluster's capacity.
-    config.arrival.rate_rps =
-        static_cast<double>(config.nodes) *
-        serve::rate_for_utilization(config.topo, config.cores,
-                                    cli.get_double("utilization", 0.7),
-                                    config.service.mean_us);
-  }
-
-  config.duration =
-      static_cast<SimTime>(cli.get_double("duration-s", 10.0) * kSec);
-  config.warmup =
-      static_cast<SimTime>(cli.get_double("warmup-s", 1.0) * kSec);
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-
   config.rebalance.enabled = cli.get_int("rebalance", 1) != 0;
   config.rebalance.epoch = static_cast<SimTime>(
       cli.get_double("rebalance-epoch-ms", 250.0) * kMsec);
@@ -78,13 +50,12 @@ ClusterConfig parse_cluster_config(const Cli& cli) {
   config.rebalance.cooldown_epochs =
       static_cast<int>(cli.get_int("rebalance-cooldown", 2));
 
-  // Per-node perturbation: --perturb-node=ID applies --perturb's timeline
-  // to that node only (default node 0).
-  if (cli.has("perturb")) {
-    const int node = static_cast<int>(cli.get_int("perturb-node", 0));
-    config.node_perturb[node] =
-        perturb::PerturbTimeline::parse_specs(cli.get("perturb"));
-  }
+  // Per-node perturbation: --perturb-node=ID applies the --perturb /
+  // --perturb-json timeline to that node only (default node 0).
+  if (auto timeline = perturb::PerturbTimeline::from_flags(cli);
+      !timeline.empty())
+    config.node_perturb[static_cast<int>(cli.get_int("perturb-node", 0))] =
+        std::move(timeline);
   return config;
 }
 

@@ -8,8 +8,11 @@
 namespace speedbal::cluster {
 
 /// Build a ClusterConfig from command-line flags (see clustersim_main.cpp
-/// for the flag reference). Throws std::invalid_argument — naming the valid
-/// values — on unknown policy / dispatch / arrival / service names.
+/// for the flag reference): the serving flags servesim reads
+/// (serve::apply_serving_flags, --utilization defaulting to 0.7 of the
+/// whole cluster) plus the cluster's own. Throws std::invalid_argument —
+/// naming the valid values — on unknown policy / dispatch / arrival /
+/// service names.
 ClusterConfig parse_cluster_config(const Cli& cli);
 
 /// The complete cluster front end (`clustersim`): parse flags, run the

@@ -7,7 +7,6 @@
 
 #include "perturb/sim_driver.hpp"
 #include "util/parallel.hpp"
-#include "workload/generator.hpp"
 
 namespace speedbal::cluster {
 
@@ -37,7 +36,6 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     throw std::invalid_argument("ClusterConfig: warmup must be < duration");
 
   const SimParams sim_params = config_.sim_params();
-  const int k = config_.cores > 0 ? config_.cores : config_.topo.num_cores();
   completed_by_node_.assign(static_cast<std::size_t>(config_.nodes), 0);
 
   nodes_.resize(static_cast<std::size_t>(config_.nodes));
@@ -49,8 +47,7 @@ ClusterSim::ClusterSim(const ClusterConfig& config)
     const std::uint64_t node_seed =
         config_.seed ^ (kNodeSalt * static_cast<std::uint64_t>(n + 1));
     node.sim = std::make_unique<Simulator>(config_.topo, sim_params, node_seed);
-    node.stack =
-        std::make_unique<PolicyStack>(config_, workload::first_cores(k));
+    node.stack = std::make_unique<PolicyStack>(config_);
     node.stack->attach_kernel(*node.sim);
 
     if (const auto it = config_.node_perturb.find(n);
@@ -86,9 +83,7 @@ ClusterSim::~ClusterSim() = default;
 
 serve::ServeRuntime* ClusterSim::open_pool_on(int pool, int node) {
   Node& home = nodes_[static_cast<std::size_t>(node)];
-  serve::ServeParams sp = config_.serve;
-  sp.warmup = config_.warmup;
-  auto rt = std::make_unique<serve::ServeRuntime>(*home.sim, sp);
+  auto rt = std::make_unique<serve::ServeRuntime>(*home.sim, config_.serve);
   rt->open(home.stack->cores(), home.stack->round_robin_launch());
   serve::ServeRuntime* raw = rt.get();
   rt->set_completion_hook([this, pool, raw, node](const Request& r) {

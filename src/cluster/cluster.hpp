@@ -45,26 +45,16 @@ struct RebalanceParams {
 };
 
 /// One simulated cluster: `nodes` machines (one Simulator each, running the
-/// per-node balancer stack of ServeConfig), `pools_per_node` worker pools
-/// per machine at start, a frontend dispatching over pools, and the global
-/// rebalancer migrating whole pools between machines. The per-node stack
-/// knobs come from PolicyStackParams, defaulting to SPEED with
-/// serve::serve_speed_defaults() as in ServeConfig. Under adaptive SPEED
-/// each node runs its own controller, unrecorded, so tuning stays
-/// node-local.
-struct ClusterConfig : PolicyStackParams {
-  ClusterConfig() {
-    policy = Policy::Speed;
-    speed = serve::serve_speed_defaults();
-  }
-
+/// serving block's machine and balancer stack), `pools_per_node` worker
+/// pools per machine at start, a frontend dispatching over pools, and the
+/// global rebalancer migrating whole pools between machines. From the
+/// serving block, `serve` configures every pool (`serve.workers` is workers
+/// *per pool*) and `arrival` is the cluster-wide open-loop load. Under
+/// adaptive SPEED each node runs its own controller, unrecorded, so tuning
+/// stays node-local.
+struct ClusterConfig : serve::ServingParams {
   int nodes = 16;
   int pools_per_node = 1;
-  /// Per-node machine model and core restriction (serve semantics).
-  Topology topo = Topology::build({});
-  int cores = 0;
-  /// Per-pool runtime parameters; `serve.workers` is workers *per pool*.
-  serve::ServeParams serve;
 
   ClusterDispatch dispatch = ClusterDispatch::JsqD;
   int jsq_d = 2;
@@ -76,21 +66,11 @@ struct ClusterConfig : PolicyStackParams {
   /// disables (pool queue capacity still applies).
   int node_admission_cap = 0;
 
-  /// Cluster-wide open-loop load.
-  workload::ArrivalSpec arrival;
-  workload::ServiceSpec service;
-  SimTime duration = sec(10);
-  SimTime warmup = sec(1);
-  std::uint64_t seed = 42;
-
   RebalanceParams rebalance;
 
   /// Per-node scripted interference, keyed by node id (e.g. a DVFS step on
   /// node 0 only) — the scenario the rebalancer exists for.
   std::map<int, perturb::PerturbTimeline> node_perturb;
-
-  obs::RunRecorder* recorder = nullptr;
-  bool export_result = true;
 };
 
 /// Cluster-level tail-latency accounting. Counters cover post-warmup

@@ -5,7 +5,6 @@
 
 #include "perturb/sim_driver.hpp"
 #include "util/parallel.hpp"
-#include "workload/generator.hpp"
 
 namespace speedbal {
 
@@ -41,8 +40,7 @@ RunResult run_once(const ExperimentConfig& config, std::uint64_t seed,
                    obs::RunRecorder* recorder, int rep) {
   Simulator sim(config.topo, config.sim_params(), seed);
   sim.set_recorder(recorder);
-  const int k = config.cores > 0 ? config.cores : config.topo.num_cores();
-  PolicyStack stack(config, workload::first_cores(k));
+  PolicyStack stack(config);
 
   // Competitors start first, as the paper's already-running unrelated tasks.
   std::unique_ptr<CpuHog> hog;
@@ -115,12 +113,12 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   ExperimentResult out;
   out.runs.resize(static_cast<std::size_t>(std::max(config.repeats, 0)));
   // Each replica is an independent Simulator with its own salted seed; only
-  // the recorded repeat carries the recorder. Results land in their repeat
-  // slot, so aggregates below see the same order regardless of jobs.
+  // repeat 0 carries the recorder. Results land in their repeat slot, so
+  // aggregates below see the same order regardless of jobs.
   parallel_for_seeds(config.jobs, config.repeats, config.seed,
                      [&](int rep, std::uint64_t seed) {
                        obs::RunRecorder* recorder =
-                           rep == config.recorded_repeat ? config.recorder : nullptr;
+                           rep == 0 ? config.recorder : nullptr;
                        out.runs[static_cast<std::size_t>(rep)] =
                            run_once(config, seed, recorder, rep);
                      });

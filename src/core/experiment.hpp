@@ -19,13 +19,10 @@ namespace speedbal {
 
 /// One experiment: an SPMD application on a machine under a policy,
 /// repeated with different seeds (the paper reports 10+ runs everywhere
-/// because LOAD is erratic). The machine's stack knobs come from
+/// because LOAD is erratic). The machine and its stack knobs come from
 /// PolicyStackParams: LOAD with the batch SpeedBalanceParams by default.
 struct ExperimentConfig : PolicyStackParams {
-  Topology topo = Topology::build({});
   SpmdAppSpec app;
-  /// Restrict to the first `cores` cores (the paper's taskset); 0 = all.
-  int cores = 0;
   int repeats = 10;
   std::uint64_t seed = 42;
   /// Replicas executed concurrently (each on its own Simulator with its own
@@ -56,12 +53,11 @@ struct ExperimentConfig : PolicyStackParams {
   std::function<void(Simulator&, SpmdApp&, int)> on_run_start;
   std::function<void(Simulator&, SpmdApp&, int)> on_run_end;
 
-  /// Observability: when set, the repeat selected by `recorded_repeat` runs
-  /// with full tracing (speed timeline, decision log, migration events, run
-  /// segments) into this recorder. Null = no tracing (the default; the only
-  /// residual cost is a pointer test on the hot paths).
+  /// Observability: when set, repeat 0 runs with full tracing (speed
+  /// timeline, decision log, migration events, run segments) into this
+  /// recorder. Null = no tracing (the default; the only residual cost is a
+  /// pointer test on the hot paths).
   obs::RunRecorder* recorder = nullptr;
-  int recorded_repeat = 0;
 };
 
 /// Outcome of a single run.

@@ -1,5 +1,7 @@
 #include "core/policy_stack.hpp"
 
+#include "workload/generator.hpp"
+
 namespace speedbal {
 
 const char* to_string(Policy p) {
@@ -15,9 +17,14 @@ const char* to_string(Policy p) {
   return "?";
 }
 
-PolicyStack::PolicyStack(const PolicyStackParams& params,
-                         std::vector<CoreId> cores)
-    : params_(params), cores_(std::move(cores)) {
+int managed_core_count(const Topology& topo, int cores) {
+  return cores > 0 ? cores : topo.num_cores();
+}
+
+PolicyStack::PolicyStack(const PolicyStackParams& params)
+    : params_(params),
+      cores_(workload::first_cores(
+          managed_core_count(params.topo, params.cores))) {
   if (params_.policy == Policy::Share)
     share_ = std::make_unique<hetero::ShareBalancer>(params_.share, cores_);
 }
@@ -45,10 +52,8 @@ void PolicyStack::attach_user(Simulator& sim, std::vector<Task*> threads,
                               obs::RunRecorder* rec) {
   pin_cursor_ = threads.size();
   if (params_.policy == Policy::Speed && params_.adaptive.enabled) {
-    AdaptiveParams ap = params_.adaptive;
-    ap.speed = params_.speed;
     adaptive_ = std::make_unique<AdaptiveSpeedBalancer>(
-        std::move(ap), std::move(threads), cores_);
+        params_.adaptive, params_.speed, std::move(threads), cores_);
     adaptive_->attach(sim);
     if (rec != nullptr) adaptive_->set_recorder(rec);
   } else if (params_.policy == Policy::Speed) {

@@ -13,6 +13,7 @@
 #include "hetero/share.hpp"
 #include "obs/recorder.hpp"
 #include "sim/simulator.hpp"
+#include "topo/topology.hpp"
 
 namespace speedbal {
 
@@ -32,10 +33,24 @@ enum class Policy {
 
 const char* to_string(Policy p);
 
-/// The per-machine knobs: the policy, every balancer's parameters and the
-/// simulator's. ExperimentConfig, ServeConfig and ClusterConfig inherit this
-/// block, so one machine is configured the same way on every tier.
+/// Every policy, in the order the tools list and parse them.
+inline constexpr Policy kAllPolicies[] = {Policy::Speed, Policy::Load,
+                                          Policy::Pinned, Policy::Dwrr,
+                                          Policy::Ule, Policy::None,
+                                          Policy::Share};
+
+/// How many cores a machine restricted to its first `cores` cores manages
+/// (the paper's taskset): `cores`, or every core of `topo` when 0.
+int managed_core_count(const Topology& topo, int cores);
+
+/// The per-machine knobs: the machine and the cores it manages, the policy,
+/// every balancer's parameters and the simulator's. ExperimentConfig and
+/// serve::ServingParams (ServeConfig, ClusterConfig) inherit this block, so
+/// one machine is configured the same way on every tier.
 struct PolicyStackParams {
+  Topology topo = Topology::build({});
+  /// Restrict to the first `cores` cores; 0 = all (managed_core_count).
+  int cores = 0;
   Policy policy = Policy::Load;
   SpeedBalanceParams speed;
   LinuxLoadParams linux_load;
@@ -69,12 +84,12 @@ struct PolicyStackParams {
 /// tool does when new PIDs appear in /proc (paper footnote 6).
 class PolicyStack {
  public:
-  /// `params` must outlive the stack (it is the caller's run config).
-  /// Under SHARE the ShareBalancer exists from here on, so an SPMD app can
-  /// take it as its partitioner before launch; it draws nothing until
-  /// attach_user.
-  PolicyStack(const PolicyStackParams& params, std::vector<CoreId> cores);
-  PolicyStack(PolicyStackParams&&, std::vector<CoreId>) = delete;
+  /// `params` must outlive the stack (it is the caller's run config); the
+  /// stack manages its first managed_core_count(topo, cores) cores. Under
+  /// SHARE the ShareBalancer exists from here on, so an SPMD app can take it
+  /// as its partitioner before launch; it draws nothing until attach_user.
+  explicit PolicyStack(const PolicyStackParams& params);
+  PolicyStack(PolicyStackParams&&) = delete;
 
   /// The managed cores, in the order launches and pinning use them.
   const std::vector<CoreId>& cores() const { return cores_; }

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace speedbal::perturb {
@@ -181,6 +182,15 @@ PerturbTimeline PerturbTimeline::parse_specs(std::string_view specs) {
   return tl;
 }
 
+std::string PerturbTimeline::to_specs() const {
+  std::string out;
+  for (const PerturbEvent& ev : events_) {
+    if (!out.empty()) out += "; ";
+    out += ev.to_spec();
+  }
+  return out;
+}
+
 PerturbTimeline PerturbTimeline::parse_json(std::string_view text) {
   const JsonValue doc = JsonValue::parse(text);
   const JsonValue* events = doc.find("events");
@@ -255,6 +265,16 @@ PerturbTimeline PerturbTimeline::load_json_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return parse_json(ss.str());
+}
+
+PerturbTimeline PerturbTimeline::from_flags(const Cli& cli) {
+  PerturbTimeline tl;
+  if (cli.has("perturb")) tl = parse_specs(cli.get("perturb"));
+  if (cli.has("perturb-json")) {
+    const PerturbTimeline file = load_json_file(cli.get("perturb-json"));
+    for (const PerturbEvent& ev : file.events()) tl.add(ev);
+  }
+  return tl;
 }
 
 }  // namespace speedbal::perturb

@@ -7,6 +7,10 @@
 
 #include "util/time.hpp"
 
+namespace speedbal {
+class Cli;
+}
+
 namespace speedbal::perturb {
 
 /// The perturbation taxonomy: everything the paper's dynamic-interference
@@ -80,6 +84,9 @@ class PerturbTimeline {
   /// ("at=2s dvfs core=3 scale=0.6; at=4s offline core=1").
   static PerturbTimeline parse_specs(std::string_view specs);
 
+  /// The inverse of parse_specs: every event's to_spec(), joined by "; ".
+  std::string to_specs() const;
+
   /// Parse the JSON file format:
   ///   {"events": [{"at_us": 2000000, "kind": "dvfs", "core": 3,
   ///                "scale": 0.6}, ...]}
@@ -89,6 +96,11 @@ class PerturbTimeline {
 
   /// Read and parse a JSON timeline file; throws on I/O or parse errors.
   static PerturbTimeline load_json_file(const std::string& path);
+
+  /// The timeline a tool's `--perturb=SPECS` and `--perturb-json=FILE`
+  /// flags describe: the specs, then the file's events merged in. Empty
+  /// when neither flag is given; throws like parse_specs / load_json_file.
+  static PerturbTimeline from_flags(const Cli& cli);
 
  private:
   std::vector<PerturbEvent> events_;

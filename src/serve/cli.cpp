@@ -7,81 +7,107 @@
 
 #include "obs/recorder.hpp"
 #include "topo/presets.hpp"
+#include "util/log.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace speedbal::serve {
 
+void apply_serving_flags(const Cli& cli, ServingParams& p,
+                         double default_utilization, int machines) {
+  // A time flag given in `unit`s replaces its field; absent, it keeps it.
+  const auto time_flag = [&cli](std::string_view name, SimTime unit,
+                                SimTime& field) {
+    if (cli.has(name))
+      field = static_cast<SimTime>(cli.get_double(name, 0.0) * unit);
+  };
+
+  p.cores = static_cast<int>(cli.get_int("cores", p.topo.num_cores()));
+  p.policy = parse_serve_policy(cli.get("policy", to_string(p.policy)));
+  if (cli.has("adaptive")) p.adaptive.enabled = true;
+
+  p.serve.queue_capacity =
+      static_cast<int>(cli.get_int("queue-cap", p.serve.queue_capacity));
+  p.serve.idle = parse_idle_mode(cli.get("idle", to_string(p.serve.idle)));
+  p.serve.span_sampling_log2 = static_cast<int>(
+      cli.get_int("span-sampling", p.serve.span_sampling_log2));
+
+  workload::ServiceSpec& service = p.service;
+  service.kind = workload::parse_service_kind(
+      cli.get("service", workload::to_string(service.kind)));
+  service.mean_us = cli.get_double("service-mean-us", service.mean_us);
+  service.cv = cli.get_double("service-cv", service.cv);
+  service.pareto_shape = cli.get_double("pareto-shape", service.pareto_shape);
+
+  workload::ArrivalSpec& arrival = p.arrival;
+  arrival.kind = workload::parse_arrival_kind(
+      cli.get("arrival", workload::to_string(arrival.kind)));
+  arrival.rate_rps =
+      cli.has("rate")
+          ? cli.get_double("rate", 0.0)
+          : static_cast<double>(machines) *
+                rate_for_utilization(
+                    p.topo, p.cores,
+                    cli.get_double("utilization", default_utilization),
+                    service.mean_us);
+  arrival.burst_factor = cli.get_double("burst-factor", arrival.burst_factor);
+  time_flag("burst-dwell-ms", kMsec, arrival.burst_dwell_mean);
+  time_flag("calm-dwell-ms", kMsec, arrival.calm_dwell_mean);
+  time_flag("diurnal-period-s", kSec, arrival.diurnal_period);
+  arrival.diurnal_swing =
+      cli.get_double("diurnal-swing", arrival.diurnal_swing);
+
+  time_flag("duration-s", kSec, p.duration);
+  time_flag("warmup-s", kSec, p.warmup);
+  p.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<std::int64_t>(p.seed)));
+}
+
 ServeConfig parse_serve_config(const Cli& cli) {
   ServeConfig config;
   config.topo = presets::by_name(cli.get("topo", "tigerton"));
-  config.cores =
-      static_cast<int>(cli.get_int("cores", config.topo.num_cores()));
+  apply_serving_flags(cli, config, /*default_utilization=*/0.8,
+                      /*machines=*/1);
 
-  // `--serve` doubles as the policy when given a value (simrun spelling);
-  // `--policy` is the servesim spelling; `--setup=SERVE-<POLICY>` is the
-  // simrun scenario spelling. Bare `--serve` means "default".
-  std::string policy = cli.get("policy", "SPEED");
+  // `--serve` doubles as the policy when given a value (simrun spelling),
+  // as does `--setup=SERVE-<POLICY>` (the simrun scenario spelling); both
+  // override `--policy`. Bare `--serve` means "default".
   if (const std::string s = cli.get("setup"); s.rfind("SERVE-", 0) == 0)
-    policy = s.substr(6);
+    config.policy = parse_serve_policy(s.substr(6));
   if (const std::string s = cli.get("serve"); !s.empty() && s != "true")
-    policy = s;
-  config.policy = parse_serve_policy(policy);
+    config.policy = parse_serve_policy(s);
 
-  const int workers = static_cast<int>(cli.get_int("workers", 0));
-  const int k = config.cores > 0 ? config.cores : config.topo.num_cores();
   // Default to 2x oversubscription: with fewer workers than cores placement
   // barely matters, which would make every policy look alike.
-  config.serve.workers = workers > 0 ? workers : 2 * k;
-  config.serve.queue_capacity =
-      static_cast<int>(cli.get_int("queue-cap", 64));
+  const int workers = static_cast<int>(cli.get_int("workers", 0));
+  config.serve.workers =
+      workers > 0 ? workers : 2 * managed_core_count(config.topo, config.cores);
   // SHARE is only visible to the dispatcher through its weights, so it
   // defaults to weighted dispatch; --dispatch still overrides.
   config.serve.dispatch = parse_dispatch_policy(cli.get(
       "dispatch", config.policy == Policy::Share ? "weighted" : "jsq"));
-  config.serve.idle = parse_idle_mode(cli.get("idle", "sleep"));
-  config.serve.span_sampling_log2 =
-      static_cast<int>(cli.get_int("span-sampling", 0));
 
-  config.service.kind = workload::parse_service_kind(cli.get("service", "exp"));
-  config.service.mean_us = cli.get_double("service-mean-us", 5000.0);
-  config.service.cv = cli.get_double("service-cv", 1.5);
-  config.service.pareto_shape = cli.get_double("pareto-shape", 2.2);
-
-  config.arrival.kind =
-      workload::parse_arrival_kind(cli.get("arrival", "poisson"));
-  if (cli.has("rate")) {
-    config.arrival.rate_rps = cli.get_double("rate", 0.0);
-  } else {
-    config.arrival.rate_rps =
-        rate_for_utilization(config.topo, config.cores,
-                             cli.get_double("utilization", 0.8),
-                             config.service.mean_us);
-  }
-  config.arrival.burst_factor = cli.get_double("burst-factor", 4.0);
-  config.arrival.burst_dwell_mean =
-      static_cast<SimTime>(cli.get_double("burst-dwell-ms", 200.0) * kMsec);
-  config.arrival.calm_dwell_mean =
-      static_cast<SimTime>(cli.get_double("calm-dwell-ms", 800.0) * kMsec);
-  config.arrival.diurnal_period =
-      static_cast<SimTime>(cli.get_double("diurnal-period-s", 10.0) * kSec);
-  config.arrival.diurnal_swing = cli.get_double("diurnal-swing", 0.8);
-
-  config.adaptive.enabled = cli.has("adaptive");
-
-  config.duration =
-      static_cast<SimTime>(cli.get_double("duration-s", 10.0) * kSec);
-  config.warmup = static_cast<SimTime>(cli.get_double("warmup-s", 1.0) * kSec);
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-
-  if (cli.has("perturb"))
-    config.perturb = perturb::PerturbTimeline::parse_specs(cli.get("perturb"));
-  if (cli.has("perturb-json")) {
-    const auto from_file =
-        perturb::PerturbTimeline::load_json_file(cli.get("perturb-json"));
-    for (const auto& ev : from_file.events()) config.perturb.add(ev);
-  }
+  config.perturb = perturb::PerturbTimeline::from_flags(cli);
   return config;
+}
+
+bool handle_tool_flags(const Cli& cli,
+                       const std::vector<std::string>& dispatch_names) {
+  std::vector<std::string> names;
+  if (cli.has("list-policies")) {
+    for (const Policy p : kAllPolicies) names.emplace_back(to_string(p));
+  } else if (cli.has("list-dispatch")) {
+    names = dispatch_names;
+  } else if (cli.has("list-arrivals")) {
+    names = workload::arrival_kind_names();
+  } else if (cli.has("list-services")) {
+    names = workload::service_kind_names();
+  } else {
+    apply_log_level_flag(cli);
+    return false;
+  }
+  for (const std::string& n : names) std::cout << n << "\n";
+  return true;
 }
 
 int serve_main(const Cli& cli, std::string_view tool) {
@@ -114,14 +140,8 @@ int serve_main(const Cli& cli, std::string_view tool) {
       rate << config.arrival.rate_rps;
       recorder.set_meta("rate_rps", rate.str());
     }
-    if (!config.perturb.empty()) {
-      std::ostringstream specs;
-      for (const auto& ev : config.perturb.events()) {
-        if (specs.tellp() > 0) specs << "; ";
-        specs << ev.to_spec();
-      }
-      recorder.set_meta("perturb", specs.str());
-    }
+    if (!config.perturb.empty())
+      recorder.set_meta("perturb", config.perturb.to_specs());
     config.recorder = &recorder;
   }
 

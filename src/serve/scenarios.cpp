@@ -8,12 +8,11 @@
 #include "perturb/sim_driver.hpp"
 #include "core/policy_stack.hpp"
 #include "util/parallel.hpp"
-#include "workload/generator.hpp"
 
 namespace speedbal::serve {
 
 double capacity(const Topology& topo, int cores) {
-  const int k = cores > 0 ? cores : topo.num_cores();
+  const int k = managed_core_count(topo, cores);
   double cap = 0.0;
   for (CoreId c = 0; c < k; ++c) cap += topo.core(c).clock_scale;
   return cap;
@@ -30,19 +29,15 @@ double rate_for_utilization(const Topology& topo, int cores,
 
 std::vector<std::string> serve_setup_names() {
   std::vector<std::string> out;
-  for (Policy p : {Policy::Speed, Policy::Load, Policy::Pinned, Policy::Dwrr,
-                   Policy::Ule, Policy::None, Policy::Share})
+  for (Policy p : kAllPolicies)
     out.push_back(std::string("SERVE-") + to_string(p));
   return out;
 }
 
 Policy parse_serve_policy(std::string_view name) {
-  for (Policy p : {Policy::Speed, Policy::Load, Policy::Pinned, Policy::Dwrr,
-                   Policy::Ule, Policy::None, Policy::Share})
-    if (name == to_string(p)) return p;
   std::string available;
-  for (Policy p : {Policy::Speed, Policy::Load, Policy::Pinned, Policy::Dwrr,
-                   Policy::Ule, Policy::None, Policy::Share}) {
+  for (Policy p : kAllPolicies) {
+    if (name == to_string(p)) return p;
     if (!available.empty()) available += ", ";
     available += to_string(p);
   }
@@ -57,8 +52,7 @@ ServeResult run_serve(const ServeConfig& config) {
   Simulator sim(config.topo, config.sim_params(), config.seed);
   obs::RunRecorder* recorder = config.recorder;
   sim.set_recorder(recorder);
-  const int k = config.cores > 0 ? config.cores : config.topo.num_cores();
-  PolicyStack stack(config, workload::first_cores(k));
+  PolicyStack stack(config);
 
   // Scripted interference (DVFS steps, hotplug, hogs) over the serving run.
   std::unique_ptr<perturb::SimPerturbDriver> perturber;
@@ -72,9 +66,7 @@ ServeResult run_serve(const ServeConfig& config) {
   // SPEED/PINNED/SHARE run on top of the Linux balancer, DWRR/ULE replace it.
   stack.attach_kernel(sim);
 
-  ServeParams serve_params = config.serve;
-  serve_params.warmup = config.warmup;
-  ServeRuntime runtime(sim, serve_params);
+  ServeRuntime runtime(sim, config.serve);
   runtime.set_recorder(recorder);
   runtime.open(stack.cores(), stack.round_robin_launch());
 
@@ -87,7 +79,7 @@ ServeResult run_serve(const ServeConfig& config) {
   // round-robin-pinned to it. Effective when serve.dispatch == weighted
   // (the SERVE-SHARE default); other dispatchers ignore the weights.
   if (stack.share() != nullptr) {
-    const int nw = serve_params.workers;
+    const int nw = config.serve.workers;
     const int nc = static_cast<int>(stack.cores().size());
     stack.share()->set_sink([&runtime, nw, nc](const std::vector<double>& shares) {
       std::vector<double> weights(static_cast<std::size_t>(nw), 0.0);
@@ -107,7 +99,7 @@ ServeResult run_serve(const ServeConfig& config) {
   // so the sampling-identity oracle still holds for adaptive runs.
   std::function<void()> congestion_probe;  // Outlives run_until (below).
   if (stack.adaptive() != nullptr) {
-    const double nw = std::max(1, serve_params.workers);
+    const double nw = std::max(1, config.serve.workers);
     const SimTime period = std::max<SimTime>(config.speed.interval, msec(1));
     AdaptiveSpeedBalancer* adaptive = stack.adaptive();
     congestion_probe = [&sim, &runtime, &congestion_probe, adaptive, nw,

@@ -14,30 +14,19 @@
 
 namespace speedbal::serve {
 
-/// SPEED defaults for serving: demand-scaled measurement, so a worker that
-/// sleeps on an empty queue does not read as a slow worker (the batch
-/// default conflates idleness with slowness and migrates the wrong way).
-inline SpeedBalanceParams serve_speed_defaults() {
-  SpeedBalanceParams p;
-  p.demand_scaled = true;
-  return p;
-}
-
-/// One serve run: an open-loop load generator feeding the sharded dispatch
-/// layer into a worker pool balanced by `policy` (the same Policy set the
-/// batch experiments use — SPEED/LOAD/PINNED coexist with the kernel Linux
-/// balancer; DWRR/ULE replace it; NONE leaves fork placement alone). The
-/// stack knobs come from PolicyStackParams, defaulting to SPEED with
-/// serve_speed_defaults().
-struct ServeConfig : PolicyStackParams {
-  ServeConfig() {
+/// The serving block: one machine serving an open-loop request stream,
+/// the unit servesim runs once and clustersim runs on every node. It adds
+/// the workload, the run window and the recording knobs to the machine
+/// block, and defaults the stack to SPEED with demand-scaled measurement, so
+/// a worker that sleeps on an empty queue does not read as a slow worker
+/// (the batch default conflates idleness with slowness and migrates the
+/// wrong way).
+struct ServingParams : PolicyStackParams {
+  ServingParams() {
     policy = Policy::Speed;
-    speed = serve_speed_defaults();
+    speed.demand_scaled = true;
   }
 
-  Topology topo = Topology::build({});
-  /// Restrict to the first `cores` cores (taskset); 0 = all.
-  int cores = 0;
   ServeParams serve;
   workload::ArrivalSpec arrival;
   workload::ServiceSpec service;
@@ -46,18 +35,22 @@ struct ServeConfig : PolicyStackParams {
   SimTime warmup = sec(1);
   std::uint64_t seed = 42;
 
-  /// Scripted interference applied mid-serving (DVFS, hotplug, hogs).
-  perturb::PerturbTimeline perturb;
-
   /// When set, the run records into this recorder: latency histograms, drop
   /// and throughput counters, queue-depth trace samples, balancer decisions.
   obs::RunRecorder* recorder = nullptr;
-  /// Export the result-level summary (histograms + serve.* counters) into
-  /// the recorder at the end of run_serve. run_serve_repeats disables this
-  /// for every replica and exports the *merged* result once instead — the
-  /// per-repeat re-serialization otherwise wasted work and recorded only
-  /// replica 0's totals.
+  /// Export the result-level summary (histograms and counters) into the
+  /// recorder at the end of the run. run_replicas disables this for every
+  /// replica and exports the *merged* result once instead.
   bool export_result = true;
+};
+
+/// One serve run: an open-loop load generator feeding the sharded dispatch
+/// layer into a worker pool balanced by `policy` (the same Policy set the
+/// batch experiments use — SPEED/LOAD/PINNED coexist with the kernel Linux
+/// balancer; DWRR/ULE replace it; NONE leaves fork placement alone).
+struct ServeConfig : ServingParams {
+  /// Scripted interference applied mid-serving (DVFS, hotplug, hogs).
+  perturb::PerturbTimeline perturb;
 
   /// Hooks mirroring ExperimentConfig's: `on_run_start` fires after the
   /// balancers and worker pool are attached but before the load generator

@@ -11,6 +11,8 @@ namespace {
 /// Bootstrap work that parks each worker into its steady-state sleep/wake
 /// cycle (a worker must be started with work before it can block).
 constexpr double kBootWorkUs = 1.0;
+/// Recorder queue-depth sampling period.
+constexpr SimTime kSampleInterval = msec(10);
 }  // namespace
 
 const char* to_string(IdleMode m) {
@@ -46,8 +48,6 @@ void ServeRuntime::open(std::span<const CoreId> cores, bool round_robin) {
     TaskSpec ts;
     ts.name = "serve.w" + std::to_string(i);
     ts.client = this;
-    ts.mem_footprint_kb = params_.mem_footprint_kb;
-    ts.mem_intensity = params_.mem_intensity;
     Task& t = sim_.create_task(ts);
     workers_.push_back(&t);
     const auto id = static_cast<std::size_t>(t.id());
@@ -63,8 +63,8 @@ void ServeRuntime::open(std::span<const CoreId> cores, bool round_robin) {
     }
   }
 
-  if (recorder_ != nullptr && params_.sample_interval > 0)
-    sim_.schedule_after(params_.sample_interval, [this] { sample(); });
+  if (recorder_ != nullptr)
+    sim_.schedule_after(kSampleInterval, [this] { sample(); });
 }
 
 void ServeRuntime::set_shard_weights(const std::vector<double>& weights) {
@@ -252,7 +252,7 @@ void ServeRuntime::sample() {
       sim_.now(), "serve load",
       {{"queued", static_cast<double>(total_queued())},
        {"busy", static_cast<double>(busy_workers())}});
-  sim_.schedule_after(params_.sample_interval, [this] { sample(); });
+  sim_.schedule_after(kSampleInterval, [this] { sample(); });
 }
 
 }  // namespace speedbal::serve

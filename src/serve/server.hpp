@@ -44,13 +44,6 @@ struct ServeParams {
   int queue_capacity = 64;
   DispatchPolicy dispatch = DispatchPolicy::JoinShortestQueue;
   IdleMode idle = IdleMode::Sleep;
-  /// Requests arriving before this instant are served but not recorded.
-  SimTime warmup = 0;
-  /// Recorder queue-depth sampling period (0 disables sampling).
-  SimTime sample_interval = msec(10);
-  /// Per-worker memory behaviour (see TaskSpec); requests inherit it.
-  double mem_footprint_kb = 0.0;
-  double mem_intensity = 0.0;
   /// Request-span sampling period as log2: sample every 2^k-th request id
   /// (0 = every request, 6 = 1/64, negative disables span tracing). Only
   /// effective with a recorder attached. Sampling is a deterministic id

@@ -4,14 +4,14 @@
 //              [--cores=N] [--policy=SPEED] [--workers=N] [--queue-cap=64]
 //              [--dispatch=jsq] [--jsq-d=2] [--hop-us=200]
 //              [--node-admission-cap=0] [--pool-dispatch=jsq] [--idle=sleep]
-//              [--adaptive]
+//              [--adaptive] [--span-sampling=-1]
 //              [--arrival=poisson] [--rate=RPS | --utilization=0.7]
 //              [--service=exp] [--service-mean-us=5000] [--service-cv=1.5]
 //              [--duration-s=10] [--warmup-s=1] [--seed=42]
 //              [--repeats=1] [--jobs=N]
 //              [--rebalance=1] [--rebalance-epoch-ms=250]
 //              [--rebalance-threshold=0.5] [--rebalance-cooldown=2]
-//              [--perturb=SPECS] [--perturb-node=0]
+//              [--perturb=SPECS] [--perturb-json=FILE] [--perturb-node=0]
 //              [--trace-out=FILE] [--report-json=FILE] [--log-level=LVL]
 //
 // Simulates a cluster of --nodes machines (each its own Simulator running
@@ -22,53 +22,37 @@
 // --rebalance-epoch-ms and, past --rebalance-threshold (with a cooldown),
 // migrates a whole pool from the most- to the least-loaded node.
 //
-// --perturb applies a scripted interference timeline (DVFS, hogs, hotplug)
-// to the single node named by --perturb-node — the scenario the rebalancer
-// exists for. --rebalance=0 disables migration for A/B comparison.
+// --perturb (and --perturb-json) apply a scripted interference timeline
+// (DVFS, hogs, hotplug) to the single node named by --perturb-node — the
+// scenario the rebalancer exists for. --rebalance=0 disables migration for
+// A/B comparison.
+//
+// Every node is a servesim machine: the serving flags are servesim's and
+// go through the same parser (serve::apply_serving_flags), --utilization
+// being offered load over the whole cluster's capacity and --workers
+// workers per pool (default 2 x cores / --pools-per-node).
 //
 // Listing flags (print one name per line and exit):
 //   --list-policies --list-dispatch --list-arrivals --list-services
+//
+// Bursty arrivals: --burst-factor, --burst-dwell-ms, --calm-dwell-ms.
+// Diurnal arrivals: --diurnal-period-s, --diurnal-swing.
+// Pareto service: --pareto-shape.
 //
 // --repeats=R merges R salted-seed replicas; --jobs=N runs them N-way
 // parallel with output byte-identical for any N.
 
 #include <cstdio>
-#include <iostream>
 
 #include "cluster/cli.hpp"
-#include "util/log.hpp"
+#include "serve/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace speedbal;
   try {
     const Cli cli(argc, argv);
-    if (cli.has("list-policies")) {
-      for (const Policy p : {Policy::Speed, Policy::Load, Policy::Pinned,
-                             Policy::Dwrr, Policy::Ule, Policy::None})
-        std::cout << to_string(p) << "\n";
+    if (serve::handle_tool_flags(cli, cluster::cluster_dispatch_names()))
       return 0;
-    }
-    if (cli.has("list-dispatch")) {
-      for (const auto& n : cluster::cluster_dispatch_names())
-        std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("list-arrivals")) {
-      for (const auto& n : workload::arrival_kind_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("list-services")) {
-      for (const auto& n : workload::service_kind_names()) std::cout << n << "\n";
-      return 0;
-    }
-    if (cli.has("log-level")) {
-      const auto level = parse_log_level(cli.get("log-level"));
-      if (!level)
-        throw std::invalid_argument(
-            "unknown log level: " + cli.get("log-level") +
-            " (available: trace, debug, info, warn, error)");
-      set_log_level(*level);
-    }
     return cluster::cluster_main(cli, "clustersim");
   } catch (const std::exception& e) {
     std::fprintf(stderr, "clustersim: %s\n", e.what());

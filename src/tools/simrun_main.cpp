@@ -89,14 +89,7 @@ int main(int argc, char** argv) {
         std::cout << s.name << "\t" << s.description << "\n";
       return 0;
     }
-    if (cli.has("log-level")) {
-      const auto level = parse_log_level(cli.get("log-level"));
-      if (!level)
-        throw std::invalid_argument(
-            "unknown log level: " + cli.get("log-level") +
-            " (available: trace, debug, info, warn, error)");
-      set_log_level(*level);
-    }
+    apply_log_level_flag(cli);
     if (cli.has("serve") || cli.get("setup").rfind("SERVE-", 0) == 0)
       return serve::serve_main(cli, "simrun");
     // A HETERO-* setup bundles the asymmetric machine with the policy; the
@@ -137,15 +130,6 @@ int main(int argc, char** argv) {
     const std::string trace_out = cli.get("trace-out");
     const std::string report_json = cli.get("report-json");
 
-    perturb::PerturbTimeline timeline;
-    if (cli.has("perturb"))
-      timeline = perturb::PerturbTimeline::parse_specs(cli.get("perturb"));
-    if (cli.has("perturb-json")) {
-      auto from_file =
-          perturb::PerturbTimeline::load_json_file(cli.get("perturb-json"));
-      for (const auto& ev : from_file.events()) timeline.add(ev);
-    }
-
     const double serial = scenarios::serial_runtime_s(topo, prof, threads, seed);
 
     auto config =
@@ -158,7 +142,7 @@ int main(int argc, char** argv) {
                                 : hetero::ShareParams::Source::Count;
     }
     config.jobs = jobs;
-    config.perturb = timeline;
+    config.perturb = perturb::PerturbTimeline::from_flags(cli);
     config.adaptive.enabled = cli.has("adaptive");
     obs::RunRecorder recorder;
     const bool record = !trace_out.empty() || !report_json.empty();
@@ -171,14 +155,8 @@ int main(int argc, char** argv) {
       recorder.set_meta("cores", std::to_string(cores));
       recorder.set_meta("seed", std::to_string(seed));
       if (config.adaptive.enabled) recorder.set_meta("adaptive", "1");
-      if (!timeline.empty()) {
-        std::ostringstream specs;
-        for (const auto& ev : timeline.events()) {
-          if (specs.tellp() > 0) specs << "; ";
-          specs << ev.to_spec();
-        }
-        recorder.set_meta("perturb", specs.str());
-      }
+      if (!config.perturb.empty())
+        recorder.set_meta("perturb", config.perturb.to_specs());
       config.recorder = &recorder;
     }
     const auto result = run_experiment(config);

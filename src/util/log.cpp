@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <stdexcept>
 
 #ifdef __linux__
 #include <sys/syscall.h>
 #endif
 
+#include "util/cli.hpp"
 #include "util/time.hpp"
 
 namespace speedbal {
@@ -64,6 +66,16 @@ std::optional<LogLevel> parse_log_level(std::string_view name) {
   if (name == "warn") return LogLevel::Warn;
   if (name == "error") return LogLevel::Error;
   return std::nullopt;
+}
+
+void apply_log_level_flag(const Cli& cli) {
+  if (!cli.has("log-level")) return;
+  const auto level = parse_log_level(cli.get("log-level"));
+  if (!level)
+    throw std::invalid_argument(
+        "unknown log level: " + cli.get("log-level") +
+        " (available: trace, debug, info, warn, error)");
+  set_log_level(*level);
 }
 
 int set_log_fd(int fd) { return g_fd.exchange(fd); }

@@ -20,6 +20,12 @@ void set_log_level(LogLevel level);
 /// Parse a level name ("trace".."error"); nullopt for anything else.
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
+class Cli;
+
+/// Apply a simulator tool's `--log-level=LVL` flag, when given; throws
+/// std::invalid_argument naming the valid levels for an unknown one.
+void apply_log_level_flag(const Cli& cli);
+
 /// Core logging entry point. The full line — wall-clock timestamp, thread
 /// id, severity, message — is assembled in one buffer and emitted as a
 /// single write(2), so lines from concurrent threads (native balancer,

@@ -170,7 +170,7 @@ void feed(AdaptiveSpeedBalancer& b, int n, const std::vector<double>& speeds,
 
 TEST(AdaptiveController, BootstrapVisitsEveryArmThenSettles) {
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 12, {0.8, 0.8}, ts);  // Balanced: nothing to chase.
@@ -202,7 +202,7 @@ TEST(AdaptiveController, RecordsAreSelfDescribingAgainstThePortfolio) {
   // Every record's constant-set must be exactly the portfolio entry of its
   // arm — the property check_tuning_stability later verifies in the fuzzer.
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 8, {1.0, 0.6}, ts);
@@ -223,7 +223,7 @@ TEST(AdaptiveController, DwellGateSpacesEveryChange) {
   AdaptiveParams params = controller_params();
   params.min_dwell_epochs = 3;
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(params, {}, {});
+  AdaptiveSpeedBalancer b(params, {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 14, {0.9, 0.9}, ts);
@@ -252,7 +252,7 @@ TEST(AdaptiveController, ConvergesUnderAConstantPerturbation) {
   // convergence half of the stability story (the fuzzer checks the dwell
   // half on live runs).
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 100, {1.0, 0.5}, ts);
@@ -270,7 +270,7 @@ TEST(AdaptiveController, ConvergesUnderAConstantPerturbation) {
 
 TEST(AdaptiveController, RisingDispersionTripsAnticipationToAggressiveArm) {
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 4, {1.0, 1.0}, ts);  // Quiet bootstrap; ends off the aggressive arm.
@@ -297,7 +297,7 @@ TEST(AdaptiveController, RisingDispersionTripsAnticipationToAggressiveArm) {
 
 TEST(AdaptiveController, AggressiveHoldPersistsUntilTheDisturbanceClears) {
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 5, {1.0, 1.0}, ts);  // Bootstrap + drift home to arm 0.
@@ -332,7 +332,7 @@ TEST(AdaptiveController, CongestionGatesTheAggressiveArm) {
   // migrating busy-poll workers under backlog trades tail latency for
   // nothing.
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 5, {1.0, 1.0}, ts);
@@ -350,7 +350,7 @@ TEST(AdaptiveController, CongestionRetreatsToTheBaseArm) {
   // must pull it back to the base constants — freezing mid-experiment keeps
   // the very parameters that are building the backlog in force.
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   // One quiet epoch: bootstrap moves to arm 1.
@@ -380,7 +380,7 @@ TEST(AdaptiveController, BootstrapVisitToTheAggressiveArmDoesNotStick) {
   // disturbance forming (slope ~0), bootstrap finishes its round and the
   // bandit drifts home to the base constants.
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   feed(b, 40, {1.3, 0.7}, ts);  // CV 0.3 > trip threshold, every epoch.
@@ -395,7 +395,7 @@ TEST(AdaptiveController, CongestionDefersBootstrapExploration) {
   // tail latency. Under sustained congestion the controller stays on the
   // base constants; once the backlog drains, exploration resumes.
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer b(controller_params(), {}, {});
+  AdaptiveSpeedBalancer b(controller_params(), {}, {}, {});
   b.set_recorder(&rec);
   std::int64_t ts = 1000;
   for (int k = 0; k < 10; ++k) {
@@ -420,9 +420,9 @@ TEST(AdaptiveController, CongestionDefersBootstrapExploration) {
 TEST(AdaptiveController, RunsIdenticallyWithAndWithoutARecorder) {
   // The sampling-identity oracle depends on this: attaching observability
   // must not steer the controller.
-  AdaptiveSpeedBalancer bare(controller_params(), {}, {});
+  AdaptiveSpeedBalancer bare(controller_params(), {}, {}, {});
   obs::RunRecorder rec;
-  AdaptiveSpeedBalancer recorded(controller_params(), {}, {});
+  AdaptiveSpeedBalancer recorded(controller_params(), {}, {}, {});
   recorded.set_recorder(&rec);
   std::int64_t ts_a = 1000, ts_b = 1000;
   for (int k = 0; k < 40; ++k) {

@@ -301,7 +301,6 @@ TEST(ServeRuntime, CompletionLookupIsIdKeyedAndRejectsForeignTasks) {
 
   ServeParams params;
   params.workers = 2;
-  params.sample_interval = 0;
   ServeRuntime runtime(sim, params);
   const std::vector<CoreId> cores = {0, 1};
   runtime.open(cores, /*round_robin=*/true);

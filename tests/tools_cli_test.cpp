@@ -1,15 +1,18 @@
-// End-to-end coverage of the speedbalancer command-line tool: fork/exec the
-// real binary against short-lived child programs and check exit-status
-// plumbing and option handling. The binary path is injected by CMake.
+// End-to-end coverage of the command-line tools: fork/exec the real
+// binaries (speedbalancer against short-lived child programs, the simulator
+// front ends on short scenarios) and check exit-status plumbing, option
+// handling and report determinism. The binary paths are injected by CMake.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -63,22 +66,46 @@ TEST(SpeedbalancerCli, MissingProgramReports127) {
 #define SIMRUN_BIN "simrun"
 #endif
 
-/// Run simrun with stdout silenced and stderr captured into *stderr_out
-/// (when non-null); returns the exit status or -1.
-int run_simrun(std::vector<std::string> args, std::string* stderr_out = nullptr) {
-  const std::string err_path =
-      testing::TempDir() + "simrun_stderr_" + std::to_string(getpid()) + ".txt";
+#ifndef SERVESIM_BIN
+#define SERVESIM_BIN "servesim"
+#endif
+
+#ifndef CLUSTERSIM_BIN
+#define CLUSTERSIM_BIN "clustersim"
+#endif
+
+#ifndef OBSQUERY_BIN
+#define OBSQUERY_BIN "obsquery"
+#endif
+
+std::string read_file(const std::string& path) {
+  std::ifstream is(path);
+  std::ostringstream ss;
+  ss << is.rdbuf();
+  return ss.str();
+}
+
+/// Run `bin` with `args`. Its stdout lands in *stdout_out (discarded when
+/// null) and its stderr in *stderr_out (left on the test's stderr when
+/// null). Returns the exit status, or -1.
+int run_captured(const std::string& bin, std::vector<std::string> args,
+                 std::string* stdout_out, std::string* stderr_out) {
+  static int counter = 0;
+  const std::string tag =
+      std::to_string(getpid()) + "_" + std::to_string(counter++);
+  const std::string out_path = testing::TempDir() + "cli_stdout_" + tag;
+  const std::string err_path = testing::TempDir() + "cli_stderr_" + tag;
   const pid_t child = fork();
   if (child < 0) return -1;
   if (child == 0) {
-    // Silence the table output; only the exit status matters here.
-    if (freopen("/dev/null", "w", stdout) == nullptr) _exit(125);
+    const char* out = stdout_out != nullptr ? out_path.c_str() : "/dev/null";
+    if (freopen(out, "w", stdout) == nullptr) _exit(125);
     if (stderr_out != nullptr &&
         freopen(err_path.c_str(), "w", stderr) == nullptr)
       _exit(125);
     std::vector<char*> argv;
-    std::string bin = SIMRUN_BIN;
-    argv.push_back(bin.data());
+    std::string path = bin;
+    argv.push_back(path.data());
     for (auto& a : args) argv.push_back(a.data());
     argv.push_back(nullptr);
     execv(argv[0], argv.data());
@@ -86,14 +113,21 @@ int run_simrun(std::vector<std::string> args, std::string* stderr_out = nullptr)
   }
   int status = 0;
   waitpid(child, &status, 0);
+  if (stdout_out != nullptr) {
+    *stdout_out = read_file(out_path);
+    std::remove(out_path.c_str());
+  }
   if (stderr_out != nullptr) {
-    std::ifstream is(err_path);
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    *stderr_out = ss.str();
+    *stderr_out = read_file(err_path);
     std::remove(err_path.c_str());
   }
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Run simrun with stdout silenced and stderr captured into *stderr_out
+/// (when non-null); returns the exit status or -1.
+int run_simrun(std::vector<std::string> args, std::string* stderr_out = nullptr) {
+  return run_captured(SIMRUN_BIN, std::move(args), nullptr, stderr_out);
 }
 
 /// True when `path` exists, is non-empty, and starts with a JSON object.
@@ -185,28 +219,7 @@ TEST(SpeedbalancerCli, WritesTraceAndReportFiles) {
 
 /// Run simrun with stdout captured into *stdout_out; returns exit status.
 int run_simrun_stdout(std::vector<std::string> args, std::string* stdout_out) {
-  const std::string out_path =
-      testing::TempDir() + "simrun_stdout_" + std::to_string(getpid()) + ".txt";
-  const pid_t child = fork();
-  if (child < 0) return -1;
-  if (child == 0) {
-    if (freopen(out_path.c_str(), "w", stdout) == nullptr) _exit(125);
-    std::vector<char*> argv;
-    std::string bin = SIMRUN_BIN;
-    argv.push_back(bin.data());
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(126);
-  }
-  int status = 0;
-  waitpid(child, &status, 0);
-  std::ifstream is(out_path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  *stdout_out = ss.str();
-  std::remove(out_path.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run_captured(SIMRUN_BIN, std::move(args), stdout_out, nullptr);
 }
 
 TEST(SimrunCli, ListSetupsPrintsOnePerLineAndExitsZero) {
@@ -287,34 +300,9 @@ TEST(SimrunCli, ServeWritesReportWithLatencyHistograms) {
   std::remove(report.c_str());
 }
 
-#ifndef SERVESIM_BIN
-#define SERVESIM_BIN "servesim"
-#endif
-
 /// Run servesim with stdout captured; returns exit status.
 int run_servesim(std::vector<std::string> args, std::string* stdout_out) {
-  const std::string out_path = testing::TempDir() + "servesim_stdout_" +
-                               std::to_string(getpid()) + ".txt";
-  const pid_t child = fork();
-  if (child < 0) return -1;
-  if (child == 0) {
-    if (freopen(out_path.c_str(), "w", stdout) == nullptr) _exit(125);
-    std::vector<char*> argv;
-    std::string bin = SERVESIM_BIN;
-    argv.push_back(bin.data());
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(126);
-  }
-  int status = 0;
-  waitpid(child, &status, 0);
-  std::ifstream is(out_path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  *stdout_out = ss.str();
-  std::remove(out_path.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run_captured(SERVESIM_BIN, std::move(args), stdout_out, nullptr);
 }
 
 TEST(ServesimCli, ListPoliciesAndDispatchExitZero) {
@@ -432,34 +420,9 @@ TEST(SimrunCli, JobsDoNotChangeServeReport) {
 
 // --- obsquery ----------------------------------------------------------------
 
-#ifndef OBSQUERY_BIN
-#define OBSQUERY_BIN "obsquery"
-#endif
-
 /// Run obsquery with stdout captured; returns exit status.
 int run_obsquery(std::vector<std::string> args, std::string* stdout_out) {
-  const std::string out_path = testing::TempDir() + "obsquery_stdout_" +
-                               std::to_string(getpid()) + ".txt";
-  const pid_t child = fork();
-  if (child < 0) return -1;
-  if (child == 0) {
-    if (freopen(out_path.c_str(), "w", stdout) == nullptr) _exit(125);
-    std::vector<char*> argv;
-    std::string bin = OBSQUERY_BIN;
-    argv.push_back(bin.data());
-    for (auto& a : args) argv.push_back(a.data());
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(126);
-  }
-  int status = 0;
-  waitpid(child, &status, 0);
-  std::ifstream is(out_path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  *stdout_out = ss.str();
-  std::remove(out_path.c_str());
-  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run_captured(OBSQUERY_BIN, std::move(args), stdout_out, nullptr);
 }
 
 TEST(ObsqueryCli, UsageErrorWithoutReport) {
@@ -528,6 +491,120 @@ TEST(SimrunCli, RejectsUnknownTopology) {
 
 TEST(SimrunCli, RejectsUnknownBenchmark) {
   EXPECT_EQ(run_simrun({"--bench=linpack.Z"}), 2);
+}
+
+// --- One policy list ----------------------------------------------------------
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) out.push_back(line);
+  return out;
+}
+
+/// The comma-separated names of an error's "(available: a, b, c)" list.
+std::vector<std::string> available_names(const std::string& err) {
+  const std::string open = "(available: ";
+  const auto begin = err.find(open);
+  const auto end = err.find(')', begin);
+  if (begin == std::string::npos || end == std::string::npos) return {};
+  std::vector<std::string> out;
+  std::istringstream is(err.substr(begin + open.size(),
+                                   end - begin - open.size()));
+  for (std::string name; std::getline(is, name, ',');)
+    out.push_back(name.substr(name.find_first_not_of(' ')));
+  return out;
+}
+
+TEST(ToolsCli, ListPoliciesPrintsExactlyThePoliciesEachToolAccepts) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> tools = {
+      {SERVESIM_BIN, {"--topo=generic2", "--workers=2"}},
+      {CLUSTERSIM_BIN, {"--topo=generic2", "--nodes=2"}}};
+  for (const auto& [bin, shape] : tools) {
+    std::string listed;
+    ASSERT_EQ(run_captured(bin, {"--list-policies"}, &listed, nullptr), 0);
+    const std::vector<std::string> names = split_lines(listed);
+    EXPECT_NE(std::find(names.begin(), names.end(), "SHARE"), names.end())
+        << bin << ": " << listed;
+    // Every listed policy runs...
+    for (const std::string& name : names) {
+      std::vector<std::string> args = shape;
+      args.insert(args.end(), {"--policy=" + name, "--duration-s=0.2",
+                               "--warmup-s=0.05"});
+      EXPECT_EQ(run_captured(bin, args, nullptr, nullptr), 0)
+          << bin << " rejects listed policy " << name;
+    }
+    // ...and the rejection of any other name offers exactly the same list.
+    std::string err;
+    EXPECT_EQ(run_captured(bin, {"--policy=FASTEST"}, nullptr, &err), 2);
+    EXPECT_EQ(available_names(err), names) << bin << ": " << err;
+  }
+}
+
+// --- clustersim ----------------------------------------------------------------
+
+const std::vector<std::string> kShortCluster = {
+    "--nodes=3", "--duration-s=0.5", "--warmup-s=0.1", "--seed=9"};
+
+/// Run clustersim on kShortCluster plus `extra`, writing a JSON report;
+/// returns the report's text (empty, with a test failure, on a non-zero
+/// exit).
+std::string clustersim_report(const std::vector<std::string>& extra) {
+  static int counter = 0;
+  const std::string report = testing::TempDir() + "cluster_report_" +
+                             std::to_string(getpid()) + "_" +
+                             std::to_string(counter++) + ".json";
+  std::vector<std::string> args = kShortCluster;
+  args.insert(args.end(), extra.begin(), extra.end());
+  args.push_back("--report-json=" + report);
+  EXPECT_EQ(run_captured(CLUSTERSIM_BIN, args, nullptr, nullptr), 0);
+  const std::string text = read_file(report);
+  std::remove(report.c_str());
+  return text;
+}
+
+TEST(ClustersimCli, RunsShortCluster) {
+  std::string out;
+  EXPECT_EQ(run_captured(CLUSTERSIM_BIN, kShortCluster, &out, nullptr), 0);
+  EXPECT_NE(out.find("latency p99"), std::string::npos) << out;
+  EXPECT_NE(out.find("nodes x pools"), std::string::npos) << out;
+}
+
+TEST(ClustersimCli, BurstFactorShapesBurstyArrivals) {
+  const std::string base = clustersim_report({"--arrival=bursty"});
+  const std::string steep =
+      clustersim_report({"--arrival=bursty", "--burst-factor=16"});
+  ASSERT_FALSE(base.empty());
+  EXPECT_NE(base, steep);
+}
+
+TEST(ClustersimCli, MissingPerturbJsonFileFailsNamingTheFile) {
+  std::vector<std::string> args = kShortCluster;
+  args.push_back("--perturb-json=/nonexistent-dir/timeline.json");
+  std::string err;
+  EXPECT_EQ(run_captured(CLUSTERSIM_BIN, args, nullptr, &err), 2);
+  EXPECT_NE(err.find("clustersim:"), std::string::npos) << err;
+  EXPECT_NE(err.find("/nonexistent-dir/timeline.json"), std::string::npos)
+      << err;
+}
+
+TEST(ClustersimCli, UnknownDispatchListsValidValues) {
+  for (const char* flag : {"--dispatch=nope", "--pool-dispatch=nope"}) {
+    std::string err;
+    EXPECT_EQ(run_captured(CLUSTERSIM_BIN, {flag}, nullptr, &err), 2);
+    EXPECT_NE(err.find("unknown"), std::string::npos) << err;
+    EXPECT_NE(err.find("nope"), std::string::npos) << err;
+    for (const char* name : {"rr", "least-loaded", "jsq"})
+      EXPECT_NE(err.find(name), std::string::npos)
+          << flag << ": missing " << name << " in: " << err;
+  }
+}
+
+TEST(ClustersimCli, JobsDoNotChangeReplicatedReport) {
+  const std::string one = clustersim_report({"--repeats=2", "--jobs=1"});
+  const std::string four = clustersim_report({"--repeats=2", "--jobs=4"});
+  ASSERT_FALSE(one.empty());
+  EXPECT_EQ(one, four);
 }
 
 }  // namespace
